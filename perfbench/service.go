@@ -45,16 +45,16 @@ const (
 	// svcSetupReps is how many times set-up (reopen the store, restore the
 	// service) runs; setup_s is their median.
 	svcSetupReps = 9
-	// svcPinnedBatches is how many schedule entries the pinned hash covers.
-	svcPinnedBatches = 24
 	// svcSampleReps is how often the traced run re-executes each item of
 	// the first seed batch phase by phase.
 	svcSampleReps = 3
 )
 
 // svcPinned is the hex SHA-256 of the workers=1 output of the seed
-// batches and the first svcPinnedBatches timed batches at defaultSeed.
-const svcPinned = "368d6ae4d36e3ffc3a7d240011b303f0d5446a94de533826a671cd902f33407f"
+// batches at defaultSeed. The timed batches are built the same way from
+// the same code, and every stream is also checked against in-process
+// references, so the seed batches pin the output whatever --seconds is.
+const svcPinned = "d2799a779377b4f71b65a9db0a436bef2fdb4873862a95872a03f5f341293741"
 
 // The batch kinds of the timed mix.
 const (
@@ -508,48 +508,61 @@ func runService(ctx context.Context, r *runner) error {
 }
 
 // checkStreams compares every result stream the service sent with the
-// in-process work.Run bytes of the same batch, and at the default seed
-// the reference bytes of the seed batches and the first timed batches
-// with the pinned hash. The references are computed after the timed
-// phase, once per distinct batch.
+// in-process work.Run bytes of the same batch, computed after the timed
+// phase once per distinct batch. At the default seed the seed batches'
+// reference bytes must also match the pinned hash, or every seed batch
+// counts as failed.
 func checkStreams(ctx context.Context, r *runner, seeds []svcBatch, fillOut []outcome, timed []svcBatch, out []outcome) error {
 	refs := make(map[*grid.Batch][]byte)
-	var pinned bytes.Buffer
-	check := func(sb svcBatch, o outcome, pin bool) error {
-		want, ok := refs[sb.b]
-		if !ok {
-			var buf bytes.Buffer
-			if err := work.Run(ctx, sb.b, work.Options{Workers: 1}, &buf); err != nil {
-				return fmt.Errorf("in-process reference: %w", err)
-			}
-			want = buf.Bytes()
-			refs[sb.b] = want
+	ref := func(b *grid.Batch) ([]byte, error) {
+		if want, ok := refs[b]; ok {
+			return want, nil
 		}
-		if pin {
-			pinned.Write(want)
+		var buf bytes.Buffer
+		if err := work.Run(ctx, b, work.Options{Workers: 1}, &buf); err != nil {
+			return nil, fmt.Errorf("in-process reference: %w", err)
+		}
+		refs[b] = buf.Bytes()
+		return refs[b], nil
+	}
+	var pinned bytes.Buffer
+	for _, sb := range seeds {
+		want, err := ref(sb.b)
+		if err != nil {
+			return err
+		}
+		pinned.Write(want)
+	}
+	pinErr := ""
+	if got := sha256Hex(pinned.Bytes()); r.opts.seed == defaultSeed && got != svcPinned {
+		pinErr = "reference output (sha256 " + got + ") differs from the pinned hash"
+	}
+	check := func(sb svcBatch, o outcome, pinErr string) error {
+		want, err := ref(sb.b)
+		if err != nil {
+			return err
 		}
 		switch {
 		case o.err != nil:
 			r.tally.add(1, 1, sb.kind+" batch: "+o.err.Error())
 		case !bytes.Equal(o.got, want):
 			r.tally.add(1, 1, sb.kind+" batch stream differs from in-process work.Run")
+		case pinErr != "":
+			r.tally.add(1, 1, sb.kind+" batch: "+pinErr)
 		default:
 			r.tally.add(1, 0, "")
 		}
 		return nil
 	}
 	for j, sb := range seeds {
-		if err := check(sb, fillOut[j], true); err != nil {
+		if err := check(sb, fillOut[j], pinErr); err != nil {
 			return err
 		}
 	}
 	for k, sb := range timed {
-		if err := check(sb, out[k], k < svcPinnedBatches); err != nil {
+		if err := check(sb, out[k], ""); err != nil {
 			return err
 		}
-	}
-	if got := sha256Hex(pinned.Bytes()); r.opts.seed == defaultSeed && len(timed) >= svcPinnedBatches && got != svcPinned {
-		r.tally.add(0, 1, "reference output (sha256 "+got+") differs from the pinned hash")
 	}
 	return nil
 }
