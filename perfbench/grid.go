@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cachecfg"
@@ -66,13 +65,12 @@ var gridTrace = &gridWorkload{
 	// worker would finish them alone.
 	workloads:   []string{"average", "spec2000", "specweb", "tpcc"},
 	schemes:     []int{2, 3},
-	fastMemory:  []bool{false, true},
-	name:        "t-l1{l1_kb}-l2{l2_kb}-{workload}-s{scheme}-m{fast_memory}",
+	name:        "t-l1{l1_kb}-l2{l2_kb}-{workload}-s{scheme}",
 	fidelity:    profile.FidelityTrace,
 	accesses:    100_000,
-	pinned:      "be566df39879bae7b5d3cf0702e006382a11e92d894b9285ec33a1be177bec1c",
+	pinned:      "ef31d770d556311c673c2b2b7758ae4e5565277614d232d5afcda6da07b28c0f",
 	setupReps:   3,
-	sampleEvery: 9,
+	sampleEvery: 5,
 	sampleReps:  1,
 }
 
@@ -121,21 +119,22 @@ func (g *gridWorkload) setupOnly(ctx context.Context, o options) error {
 	return g.setup(ctx, nil, b)
 }
 
-// timedBatch wraps a batch so every RunItem is a span below parent, and
-// sums the time workers spent inside RunItem.
+// timedBatch wraps a batch to time every RunItem; in a traced pass each
+// item is also a span below parent. dur[i] is written only by the worker
+// running item i and read after work.Run returns.
 type timedBatch struct {
 	work.Batch
 	tr     *tracer
 	parent int
 	name   func(i int) string
-	busy   atomic.Int64
+	dur    []time.Duration
 }
 
 func (b *timedBatch) RunItem(ctx context.Context, i int) (json.RawMessage, error) {
 	id := b.tr.begin(b.name(i), b.parent, strconv.Itoa(i))
 	t0 := time.Now()
 	line, err := b.Batch.RunItem(ctx, i)
-	b.busy.Add(int64(time.Since(t0)))
+	b.dur[i] = time.Since(t0)
 	b.tr.end(id)
 	return line, err
 }
@@ -143,7 +142,8 @@ func (b *timedBatch) RunItem(ctx context.Context, i int) (json.RawMessage, error
 // passes is what a timed phase of whole-batch passes measured.
 type passes struct {
 	untraced, traced []time.Duration
-	allocBytes       uint64 // allocated during untraced passes
+	itemP50, itemP90 []float64 // per untraced pass: quantiles of its items' RunItem wall time
+	allocBytes       uint64    // allocated during untraced passes
 	allocItems       int
 	busy, wall       time.Duration // traced passes: time inside RunItem, and inside work.Run
 	busyItems        int
@@ -179,12 +179,9 @@ func runPasses(ctx context.Context, r *runner, prepare func(ctx context.Context,
 		}
 		n := b.Len()
 		wid := tr.begin("work.run", pid, "")
-		tb := &timedBatch{Batch: b, tr: tr, parent: wid, name: itemSpan}
-		if tr != nil {
-			b = tb
-		}
+		tb := &timedBatch{Batch: b, tr: tr, parent: wid, name: itemSpan, dur: make([]time.Duration, n)}
 		t1 := time.Now()
-		err = work.Run(ctx, b, work.Options{Workers: workers}, &buf)
+		err = work.Run(ctx, tb, work.Options{Workers: workers}, &buf)
 		t2 := time.Now()
 		a1 := allocBytes()
 		tr.end(wid)
@@ -201,11 +198,16 @@ func runPasses(ctx context.Context, r *runner, prepare func(ctx context.Context,
 		r.tally.add(n, bad, why)
 		if tr != nil {
 			p.traced = append(p.traced, t2.Sub(t0))
-			p.busy += time.Duration(tb.busy.Load())
+			for _, d := range tb.dur {
+				p.busy += d
+			}
 			p.wall += t2.Sub(t1)
 			p.busyItems += n
 		} else {
 			p.untraced = append(p.untraced, t2.Sub(t0))
+			items := scaled(tb.dur, ms)
+			p.itemP50 = append(p.itemP50, median(items))
+			p.itemP90 = append(p.itemP90, quantile(items, 0.9))
 			p.allocBytes += a1 - a0
 			p.allocItems += n
 		}
@@ -223,22 +225,26 @@ func runPasses(ctx context.Context, r *runner, prepare func(ctx context.Context,
 	return p, nil
 }
 
-// report sets the metrics of a pass-based timed phase: per-pass rate,
-// latency and peak live heap, each the median over the untraced passes
-// (the peak of one pass is an extreme of the heap after each GC, so its
-// median over passes is the steadier figure); driver and tracing-overhead
-// figures for the traced run.
+// report sets the metrics of a pass-based timed phase, each the median
+// over the untraced passes of that pass's figure: its rate, its peak live
+// heap (the peak of one pass is an extreme of the heap after each GC, so
+// the median over passes is the steadier figure), and the median and 90th
+// percentile of its items' wall times. The batch latencies are those of
+// single items because a run holds only a handful of whole passes, too
+// few for a 90th percentile, and a pass's latency is items_per_s again;
+// keeping per-pass quantiles rather than every item's time keeps the
+// benchmark's own memory out of the heap it measures. The traced run adds
+// driver and tracing-overhead figures.
 func (p passes) report(r *runner, items int) {
-	var rates, lat []float64
+	var rates []float64
 	for _, d := range p.untraced {
 		rates = append(rates, float64(items)/d.Seconds())
-		lat = append(lat, ms(d))
 	}
 	r.set("items_per_s", median(rates))
-	r.set("batch_p50_ms", median(lat))
-	r.set("batch_p90_ms", quantile(lat, 0.9))
+	r.set("batch_p50_ms", median(p.itemP50))
+	r.set("batch_p90_ms", median(p.itemP90))
 	r.set("peak_heap_mb", median(p.heapMB))
-	r.record.BatchSamples = len(p.untraced)
+	r.record.BatchSamples = items * len(p.untraced)
 	r.set("work.alloc_kb_per_item", ratio(float64(p.allocBytes)/1024, float64(p.allocItems)))
 	if len(p.traced) > 0 {
 		workerTime := float64(p.wall) * workers

@@ -23,8 +23,10 @@ import (
 	"io"
 	"math"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"strconv"
+	"syscall"
 	"time"
 
 	"repro/internal/exp"
@@ -152,7 +154,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	w := workloads[o.workload]
-	ctx, cancel := context.WithTimeout(context.Background(), runDeadline)
+	// An interrupted run cancels its context, so set-up children are
+	// killed and waited for and the scratch directory is removed.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	ctx, cancel := context.WithTimeout(ctx, runDeadline)
 	defer cancel()
 	if o.setupOnly {
 		if err := w.setup(ctx, o); err != nil {
@@ -232,6 +238,9 @@ func execute(ctx context.Context, o options, w workload, stdout io.Writer) (resu
 	steal := startSteal()
 	err := w.run(ctx, r)
 	r.record.StealPct = steal.pct()
+	if err == nil {
+		err = ctx.Err() // interrupted or out of time: no result
+	}
 	if err != nil {
 		return result{}, fmt.Errorf("%s: %w", o.workload, err)
 	}

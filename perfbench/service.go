@@ -38,9 +38,10 @@ const (
 	// periodic schedule can lock in phase with the workers' lease polling
 	// and give every batch the same wait, which a different rate or seed
 	// would then move wholesale, while Poisson arrivals would make the
-	// number of batches per second itself vary from run to run. At about
-	// 70ms per batch the rate keeps the two client connections mostly
-	// free, so latency measures the service, not the generator's pool.
+	// number of batches per second itself vary from run to run. An
+	// executed batch holds a client connection for about 100 ms, so at
+	// this rate the two connections are less than half busy and latency
+	// measures the service, not the generator's connection pool.
 	svcRate = 10.0
 	// svcSetupReps is how many times set-up (reopen the store, restore the
 	// service) runs; setup_s is their median.
