@@ -72,14 +72,6 @@ func runFigures(ctx context.Context, r *runner) error {
 		return err
 	}
 	p.report(r, len(ids))
-	// The twelve artifacts of a pass are twelve different computations,
-	// not samples of one: their median falls in a gap between them and
-	// jumps with scheduling. The batch a user waits on is the whole
-	// registry, so here the latencies are those of whole passes.
-	lat := scaled(p.untraced, ms)
-	r.set("batch_p50_ms", median(lat))
-	r.set("batch_p90_ms", quantile(lat, 0.9))
-	r.record.BatchSamples = len(lat)
 	if r.tr == nil {
 		return nil
 	}

@@ -26,8 +26,6 @@ type gridWorkload struct {
 	budgetsPS  []float64 // nil: each point's default budget
 	fastMemory []bool
 	name       string // point-name template
-	fidelity   string
-	accesses   int // 0: the scenario default
 	// pinned is the hex SHA-256 of the workers=1 output at defaultSeed.
 	pinned string
 	// setupReps is how many fresh processes time the set-up.
@@ -48,30 +46,10 @@ var gridAnalytical = &gridWorkload{
 	budgetsPS:   []float64{1900, 1950, 2000, 2050, 2100, 2150, 2200, 2250, 2300, 2350, 2400, 2450, 2500, 2550, 2600, 2650},
 	fastMemory:  []bool{false, true},
 	name:        "a-l1{l1_kb}-l2{l2_kb}-{workload}-s{scheme}-b{amat_budget_ps}-m{fast_memory}",
-	fidelity:    profile.FidelityAnalytical,
 	pinned:      "adefdb8ea81a4fb6c5bf4f6376668b13fcb3f739ce9c8b51e557f08306fac48f",
 	setupReps:   3,
 	sampleEvery: 61,
 	sampleReps:  3,
-}
-
-// gridTrace: every item regenerates its traces and simulates the
-// hierarchy, so trace and sim dominate and opt is a sliver.
-var gridTrace = &gridWorkload{
-	l1KB: []int{16, 32},
-	l2KB: []int{256, 512},
-	// The suite average costs three simulations; listing it first keeps
-	// the most expensive items away from the end of a pass, where one
-	// worker would finish them alone.
-	workloads:   []string{"average", "spec2000", "specweb", "tpcc"},
-	schemes:     []int{2, 3},
-	name:        "t-l1{l1_kb}-l2{l2_kb}-{workload}-s{scheme}",
-	fidelity:    profile.FidelityTrace,
-	accesses:    100_000,
-	pinned:      "ef31d770d556311c673c2b2b7758ae4e5565277614d232d5afcda6da07b28c0f",
-	setupReps:   3,
-	sampleEvery: 5,
-	sampleReps:  1,
 }
 
 // expand builds the grid for a seed; the seed reaches every point through
@@ -87,21 +65,18 @@ func (g *gridWorkload) expand(seed int64) (*grid.Batch, error) {
 			AMATBudgetPS: g.budgetsPS,
 			FastMemory:   g.fastMemory,
 		},
-		Base: scenario.Config{Seed: seed, Fidelity: g.fidelity, Accesses: g.accesses},
+		Base: scenario.Config{Seed: seed, Fidelity: profile.FidelityAnalytical},
 	}}
 	return spec.Expand()
 }
 
 // setup builds what the timed phase must find warm: the shared design of
-// every cache organisation, and the workload profiles when analytical.
+// every cache organisation, and the workload profiles.
 func (g *gridWorkload) setup(ctx context.Context, tr *tracer, b *grid.Batch) error {
 	id := tr.begin("setup", 0, "")
 	defer tr.end(id)
 	if err := warmDesigns(ctx, tr, id, orgs(g.l1KB, g.l2KB)); err != nil {
 		return err
-	}
-	if g.fidelity != profile.FidelityAnalytical {
-		return nil
 	}
 	base := b.ConfigAt(0)
 	pid := tr.begin("profile.build", id, "")
@@ -142,8 +117,7 @@ func (b *timedBatch) RunItem(ctx context.Context, i int) (json.RawMessage, error
 // passes is what a timed phase of whole-batch passes measured.
 type passes struct {
 	untraced, traced []time.Duration
-	itemP50, itemP90 []float64 // per untraced pass: quantiles of its items' RunItem wall time
-	allocBytes       uint64    // allocated during untraced passes
+	allocBytes       uint64 // allocated during untraced passes
 	allocItems       int
 	busy, wall       time.Duration // traced passes: time inside RunItem, and inside work.Run
 	busyItems        int
@@ -205,9 +179,6 @@ func runPasses(ctx context.Context, r *runner, prepare func(ctx context.Context,
 			p.busyItems += n
 		} else {
 			p.untraced = append(p.untraced, t2.Sub(t0))
-			items := scaled(tb.dur, ms)
-			p.itemP50 = append(p.itemP50, median(items))
-			p.itemP90 = append(p.itemP90, quantile(items, 0.9))
 			p.allocBytes += a1 - a0
 			p.allocItems += n
 		}
@@ -225,39 +196,33 @@ func runPasses(ctx context.Context, r *runner, prepare func(ctx context.Context,
 	return p, nil
 }
 
-// report sets the metrics of a pass-based timed phase, each the median
-// over the untraced passes of that pass's figure: its rate, its peak live
-// heap (the peak of one pass is an extreme of the heap after each GC, so
-// the median over passes is the steadier figure), and the median and 90th
-// percentile of its items' wall times. The batch latencies are those of
-// single items because a run holds only a handful of whole passes, too
-// few for a 90th percentile, and a pass's latency is items_per_s again;
-// keeping per-pass quantiles rather than every item's time keeps the
-// benchmark's own memory out of the heap it measures. The traced run adds
-// driver and tracing-overhead figures.
+// report sets the metrics of a pass-based timed phase: the median over
+// the untraced passes of a pass's rate and of its peak live heap (the
+// peak of one pass is an extreme of the heap after each GC, so the median
+// over passes is the steadier figure), and the median and 90th
+// percentile of whole-pass times. A pass is the batch a user submits and
+// waits on: the whole grid, or the whole registry. Quantiles of single
+// items would mix different computations (schemes, workloads, artifacts)
+// whose times form separate clusters, so their median falls on the edge
+// of a cluster and jumps from run to run. The traced run adds driver and
+// tracing-overhead figures.
 func (p passes) report(r *runner, items int) {
 	var rates []float64
 	for _, d := range p.untraced {
 		rates = append(rates, float64(items)/d.Seconds())
 	}
+	lat := scaled(p.untraced, ms)
 	r.set("items_per_s", median(rates))
-	r.set("batch_p50_ms", median(p.itemP50))
-	r.set("batch_p90_ms", median(p.itemP90))
+	r.set("batch_p50_ms", median(lat))
+	r.set("batch_p90_ms", quantile(lat, 0.9))
 	r.set("peak_heap_mb", median(p.heapMB))
-	r.record.BatchSamples = items * len(p.untraced)
+	r.record.BatchSamples = len(lat)
 	r.set("work.alloc_kb_per_item", ratio(float64(p.allocBytes)/1024, float64(p.allocItems)))
 	if len(p.traced) > 0 {
 		workerTime := float64(p.wall) * workers
 		r.set("work.busy_ratio", ratio(float64(p.busy), workerTime))
 		r.set("work.driver_us_per_item", ratio(us(time.Duration(workerTime)-p.busy), float64(p.busyItems)))
-		var tr, un []float64
-		for _, d := range p.traced {
-			tr = append(tr, ms(d))
-		}
-		for _, d := range p.untraced {
-			un = append(un, ms(d))
-		}
-		r.set("bench.trace_overhead_pct", 100*(median(tr)/median(un)-1))
+		r.set("bench.trace_overhead_pct", 100*(median(scaled(p.traced, ms))/median(lat)-1))
 	}
 }
 
@@ -312,8 +277,7 @@ func (g *gridWorkload) run(ctx context.Context, r *runner) error {
 // sampleItems re-executes every every-th item of b phase by phase
 // (reassemble), reps times, beside a timed RunItem of the same item. The
 // reassembled line must equal RunItem's; grid.phase_cover_ratio reports
-// how much of RunItem's time the phase spans account for. Trace-fidelity
-// items also get a trace.gen probe.
+// how much of RunItem's time the phase spans account for.
 func sampleItems(ctx context.Context, r *runner, b *grid.Batch, every, reps int) error {
 	var itemTime time.Duration
 	for i := 0; i < b.Len(); i += every {
@@ -336,11 +300,6 @@ func sampleItems(ctx context.Context, r *runner, b *grid.Batch, every, reps int)
 				bad = 1
 			}
 			r.tally.add(1, bad, "reassembled line of "+cfg.Name+" differs from RunItem's")
-		}
-		if cfg.Fidelity != profile.FidelityAnalytical {
-			if err := traceGenProbe(ctx, r.tr, cfg.Name, suitesOf(cfg.Workload, cfg.Seed), cfg.Accesses); err != nil {
-				return err
-			}
 		}
 	}
 	var phaseTime time.Duration

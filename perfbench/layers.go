@@ -143,9 +143,9 @@ func designProbe(ctx context.Context, r *runner, cfgs []cachecfg.Config) error {
 	return nil
 }
 
-// reassemble re-executes one scenario phase by phase through the public
-// calls scenario.RunCtx makes, each under its own span below parent: the
-// miss-rate matrix (profile.matrix or sim.matrix), the shared designs,
+// reassemble re-executes one analytical scenario phase by phase through
+// the public calls scenario.RunCtx makes, each under its own span below
+// parent: the miss-rate matrix (profile.matrix), the shared designs,
 // opt.optimize_l2.s<scheme>, opt.tuples, and scenario.encode. It returns
 // the line it assembles, which must equal the item's RunItem line.
 func reassemble(ctx context.Context, tr *tracer, parent int, cfg scenario.Config) ([]byte, error) {
@@ -153,13 +153,8 @@ func reassemble(ctx context.Context, tr *tracer, parent int, cfg scenario.Config
 	req := cfg.Name
 	l1Size, l2Size := cfg.L1KB*cachecfg.KB, cfg.L2KB*cachecfg.KB
 
-	suites := suitesOf(cfg.Workload, cfg.Seed)
-	build, name := sim.BuildSuiteMatricesCtx, "sim.matrix"
-	if cfg.Fidelity == profile.FidelityAnalytical {
-		build, name = profile.BuildSuiteMatricesCtx, "profile.matrix"
-	}
-	id := tr.begin(name, parent, req)
-	ms, err := build(ctx, suites, []int{l1Size}, []int{l2Size}, cfg.Accesses)
+	id := tr.begin("profile.matrix", parent, req)
+	ms, err := profile.BuildSuiteMatricesCtx(ctx, suitesOf(cfg.Workload, cfg.Seed), []int{l1Size}, []int{l2Size}, cfg.Accesses)
 	var avg *sim.MissMatrix
 	if err == nil {
 		avg, err = sim.Average(ms)
@@ -235,9 +230,9 @@ func reassemble(ctx context.Context, tr *tracer, parent int, cfg scenario.Config
 	return line, err
 }
 
-// traceGenProbe regenerates the traces a trace-fidelity item simulates —
-// the same workload parameters and length — without simulating them, so
-// trace.gen shows the trace layer's share of sim.matrix.
+// traceGenProbe regenerates a set of traces — the workload parameters and
+// length a simulation uses — without simulating them, so trace.gen shows
+// the trace layer's share of sim.matrix.
 func traceGenProbe(ctx context.Context, tr *tracer, req string, suites []trace.Params, n int) error {
 	id := tr.begin("trace.gen", 0, req)
 	defer tr.end(id)

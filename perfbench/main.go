@@ -3,7 +3,7 @@
 // bytes, and prints its metrics as one JSON object on the last line of
 // standard output:
 //
-//	bash perfbench/run.sh --workload grid-analytical --seed 7 --seconds 20 --trace 0
+//	bash perfbench/run.sh --workload grid-analytical --seed 7 --seconds 30 --trace 0
 //
 // With --trace 0 it reports the end-to-end metrics, measured with tracing
 // off. --trace 1 is the separate traced run: it records spans around the
@@ -126,7 +126,6 @@ type workload struct {
 // workloads are the named workloads; BENCHMARK.json says why each exists.
 var workloads = map[string]workload{
 	"grid-analytical": {run: gridAnalytical.run, setup: gridAnalytical.setupOnly},
-	"grid-trace":      {run: gridTrace.run, setup: gridTrace.setupOnly},
 	"service-mixed":   {run: runService},
 	"paper-figures":   {run: runFigures, setup: figuresSetupOnly},
 }
@@ -189,7 +188,7 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	var traceFlag int
 	fs.StringVar(&o.workload, "workload", "", "workload name")
 	fs.Int64Var(&o.seed, "seed", defaultSeed, "input seed")
-	fs.IntVar(&o.seconds, "seconds", 20, "length of the timed phase in seconds")
+	fs.IntVar(&o.seconds, "seconds", 30, "length of the timed phase in seconds")
 	fs.IntVar(&traceFlag, "trace", 0, "1 = traced run reporting per-layer metrics")
 	fs.BoolVar(&o.setupOnly, "setup-only", false, "run the workload's set-up and exit (set-up timing child)")
 	if err := fs.Parse(args); err != nil {

@@ -2,7 +2,7 @@
 # Builds the benchmark from source and runs it with the given arguments.
 # Run from the repository root:
 #
-#   bash perfbench/run.sh --workload grid-analytical --seed 1 --seconds 20 --trace 0
+#   bash perfbench/run.sh --workload grid-analytical --seed 1 --seconds 30 --trace 0
 #
 # Everything it builds or writes stays under .bench_build/ in the current
 # directory, the Go build cache included.
