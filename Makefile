@@ -4,7 +4,7 @@ GO ?= go
 # top of the file.
 .DEFAULT_GOAL := ci
 
-.PHONY: help ci fmt tidy vet staticcheck lint build test race bench bench-compile bench-snapshot cover golden docs
+.PHONY: help ci fmt tidy vet staticcheck lint build test race bench bench-compile bench-snapshot cover golden docs perfbench-check loc
 
 # The perf-snapshot file for the current PR and the packages it records.
 # Bump SNAPSHOT per PR (BENCH_7.json, ...) so the repo keeps the
@@ -18,13 +18,14 @@ help: ## list the Makefile verbs and what they do
 	@grep -E '^[a-zA-Z_-]+:.*?## ' $(MAKEFILE_LIST) | awk 'BEGIN {FS = ":.*?## "}; {printf "  %-14s %s\n", $$1, $$2}'
 
 # ci is the gate: formatting, module tidiness, vet, staticcheck, the
-# repository's own analyzer suite, build, race-enabled tests, and a
-# one-iteration pass over every benchmark as a compile-and-run check —
+# repository's own analyzer suite, build, race-enabled tests, a
+# one-iteration pass over every benchmark as a compile-and-run check,
+# and vet + tests of the nested perfbench module —
 # the same chain .github/workflows/ci.yml runs, so a green `make ci`
 # means a green CI run. (CI's benchmark-regression gate needs a
 # merge-base to diff against and only runs on pull requests; see
 # .github/workflows/ci.yml.)
-ci: fmt tidy vet staticcheck lint build race bench-compile ## the full CI gate (fmt + tidy + vet + staticcheck + repolint + build + race tests + bench compile)
+ci: fmt tidy vet staticcheck lint build race bench-compile perfbench-check ## the full CI gate (fmt + tidy + vet + staticcheck + repolint + build + race tests + bench compile + perfbench)
 
 # fmt fails listing the files gofmt would rewrite, same as the CI step.
 fmt: ## fail when gofmt would change any file
@@ -72,6 +73,18 @@ race: ## run the test suite under the race detector
 # and it catches benchmarks that bit-rot against API changes.
 bench-compile: ## run every benchmark once as a compile-and-run check
 	$(GO) test -bench=. -benchtime=1x ./...
+
+# perfbench-check vets and tests the end-to-end benchmark. perfbench/ is
+# a nested module (`replace repro => ../`), so the root ./... patterns
+# never compile it; this is what catches it breaking against an API
+# change in the packages it drives (dist, store, work, grid, exp).
+perfbench-check: ## vet and test the nested perfbench benchmark module
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# loc prints the simplicity scoreboard: non-test Go lines, excluding the
+# perfbench module and testdata fixtures.
+loc: ## print the non-test Go line count (excluding perfbench/ and testdata/)
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^perfbench/' | grep -v '/testdata/' | xargs cat | wc -l
 
 # bench is the real measurement run.
 bench: ## run the real benchmark measurements

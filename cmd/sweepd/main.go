@@ -23,17 +23,20 @@
 // blending two simulation scales (or miss-matrix fidelities) into one
 // result set.
 //
-// The coordinator is crash-tolerant on both sides: a worker that dies
-// mid-unit loses only its lease (the unit is re-leased when the lease
-// expires), and with -checkpoint the coordinator journals every completed
-// line so `serve -resume` after a kill completes exactly the remainder —
-// against the same journal format `scenario -checkpoint` and `figures
-// -checkpoint` write. `sweepd journal` reassembles the complete ordered
-// result set from such a journal, because the journal — not any one run's
-// stdout — is the authoritative record across restarts.
+// Both serve modes run the same coordinator, dist.Service. One-shot serve
+// is a service holding its one batch over a single-journal store — the
+// -checkpoint file, or a throwaway journal removed at exit — that stops
+// once the batch is terminal, so idle workers are told the run is over.
+// It is crash-tolerant on both sides: a worker that dies mid-unit loses
+// only its lease (the unit is re-leased when the lease expires), and
+// `serve -checkpoint F -resume` after a kill completes exactly the
+// remainder — against the same journal format `scenario -checkpoint` and
+// `figures -checkpoint` write. `sweepd journal` reassembles the complete
+// ordered result set from such a journal, because the journal — not any
+// one run's stdout — is the authoritative record across restarts.
 //
-// `sweepd serve -store DIR` replaces the one-shot coordinator with a
-// long-running multi-batch service: batches arrive over POST /v1/batches
+// `sweepd serve -store DIR` runs the service long-lived over a
+// content-addressed result store: batches arrive over POST /v1/batches
 // (`sweepd submit`, which takes the same workload flags as serve and
 // streams the ordered results back with -results), any number of them
 // queue and run concurrently on one worker fleet, and every completed
@@ -292,101 +295,144 @@ func runServe(ctx context.Context, args []string, stdin io.Reader, stdout, stder
 		fmt.Fprintln(stderr, "sweepd:", err)
 		return 1
 	}
-	spec, err := dist.SpecOf(b)
-	if err != nil {
-		fmt.Fprintln(stderr, "sweepd:", err)
-		return 1
-	}
-
 	var tickerW io.Writer
 	if o.progress {
 		tickerW = stderr
 	}
 	prog := cli.NewProgress("sweepd", noun, tickerW)
-	reg := obs.NewRegistry()
-	cfg := dist.Config{Units: o.units, LeaseTTL: o.lease, Progress: prog.Hook(), Metrics: reg}
-
 	start := time.Now()
-	man := cli.Manifest{Tool: "sweepd serve", Kind: b.Kind(), BatchSHA256: spec.Hash,
-		Fidelity: work.FidelityOf(b), Items: spec.N, ItemsRun: spec.N}
+	hash, err := b.Hash()
+	if err != nil {
+		fmt.Fprintln(stderr, "sweepd:", err)
+		return 1
+	}
+	man := cli.Manifest{Tool: "sweepd serve", Kind: b.Kind(), BatchSHA256: hash,
+		Fidelity: work.FidelityOf(b), Items: b.Len(), ItemsRun: b.Len()}
 	var runErr error
 	defer func() {
 		man.Finish(start, nil, runErr)
 		cli.EmitManifest(stderr, man)
 	}()
-
-	if o.checkpoint != "" {
-		jr, done, err := work.OpenJournal(o.checkpoint, b, o.resume)
-		if err != nil {
-			runErr = err
-			fmt.Fprintln(stderr, "sweepd:", err)
-			return 1
-		}
-		defer jr.Close()
-		if len(done) > 0 {
-			fmt.Fprintf(stderr, "sweepd: resuming, %d/%d %s already journaled\n", len(done), spec.N, noun)
-		}
-		cfg.Journal, cfg.Done = jr, done
-		man.ItemsResumed = len(done)
-		man.ItemsRun = spec.N - len(done)
-	}
-
-	c, err := dist.New(ctx, spec, cfg)
-	if err != nil {
+	fail := func(err error) int {
 		runErr = err
 		fmt.Fprintln(stderr, "sweepd:", err)
 		return 1
 	}
-	if o.metricsAddr != "" {
-		// The debug listener serves the coordinator's own registry — the
-		// same families the token-gated /metrics on -addr exposes — plus
-		// pprof, on an address the operator keeps off the worker network.
-		maddr, stopMetrics, err := obs.Serve(o.metricsAddr, reg)
+
+	// The one batch runs on a service over a single-journal store: the
+	// -checkpoint file, or a throwaway journal removed at exit.
+	path := o.checkpoint
+	if path == "" {
+		f, err := os.CreateTemp("", "sweepd-*.journal")
 		if err != nil {
-			runErr = err
-			fmt.Fprintln(stderr, "sweepd:", err)
-			return 1
+			return fail(err)
 		}
-		defer stopMetrics()
+		path = f.Name()
+		f.Close()
+		defer os.Remove(path)
+	}
+	// Cancelled once the batch is terminal, so leases answer done and the
+	// fleet exits.
+	svcCtx, stopService := context.WithCancel(ctx)
+	defer stopService()
+	svc, err := dist.NewService(svcCtx, dist.ServiceConfig{
+		Store: store.OpenJournal(path, o.resume), Units: o.units, LeaseTTL: o.lease,
+	})
+	if err != nil {
+		return fail(err)
+	}
+	defer svc.Close()
+	st, _, err := svc.Submit(b)
+	if err != nil {
+		return fail(err)
+	}
+	if resumed := st.ItemsCachedJournal; resumed > 0 {
+		fmt.Fprintf(stderr, "sweepd: resuming, %d/%d %s already journaled\n", resumed, st.N, noun)
+		man.ItemsResumed = resumed
+		man.ItemsRun = st.N - resumed
+	}
+	addr, stopHTTP, err := serveHTTP(svc, o, stderr)
+	if err != nil {
+		return fail(err)
+	}
+	defer stopHTTP()
+	fmt.Fprintf(stderr, "sweepd: serving %d %s on http://%s\n", st.N, noun, addr)
+
+	hook := prog.Hook()
+	emitted := 0
+	runErr = svc.Results(ctx, st.ID, func(line []byte, cached bool) error {
+		if cached {
+			return nil // a previous run emitted it
+		}
+		// Full slice expression: append must copy, never write into the
+		// memory the line shares with the result body it came from.
+		if _, err := stdout.Write(append(line[:len(line):len(line)], '\n')); err != nil {
+			return err
+		}
+		emitted++
+		hook(emitted, man.ItemsRun)
+		return nil
+	})
+	stopService()
+	if runErr == nil {
+		if final, _ := svc.Batch(st.ID); final.State != dist.BatchDone {
+			runErr = fmt.Errorf("batch %s", final.State)
+			if final.Error != "" {
+				runErr = fmt.Errorf("batch %s: %s", final.State, final.Error)
+			}
+		}
+	}
+	if runErr != nil {
+		return cli.Report("sweepd", runErr, prog, stderr)
+	}
+	return 0
+}
+
+// readHeaderTimeout bounds how long a client may take to send request
+// headers, so idle or slow connections cannot pin server goroutines.
+const readHeaderTimeout = 10 * time.Second
+
+// shutdownGrace bounds how long stopping the listener waits for
+// in-flight requests — above all the result post that completed the
+// batch, whose 200 must reach the worker — before closing them.
+const shutdownGrace = 5 * time.Second
+
+// serveHTTP exposes the service on -addr behind the -token gate, plus
+// the unauthenticated debug listener when -metrics-addr is set. It
+// returns the bound -addr and a stop func that closes both, letting
+// in-flight requests finish first. Stop the service context before
+// calling it, so open result streams end instead of holding it up.
+func serveHTTP(svc *dist.Service, o serveOptions, stderr io.Writer) (net.Addr, func(), error) {
+	stopMetrics := func() {}
+	if o.metricsAddr != "" {
+		// The debug listener serves the service's own registry — the same
+		// families the token-gated /metrics on -addr exposes — plus pprof,
+		// on an address the operator keeps off the worker network.
+		maddr, stop, err := obs.Serve(o.metricsAddr, svc.Metrics())
+		if err != nil {
+			return nil, nil, err
+		}
+		stopMetrics = stop
 		fmt.Fprintf(stderr, "sweepd: metrics on http://%s/metrics\n", maddr)
 	}
 	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
-		runErr = err
-		fmt.Fprintln(stderr, "sweepd:", err)
-		return 1
+		stopMetrics()
+		return nil, nil, err
 	}
-	srv := &http.Server{Handler: dist.RequireToken(o.token, c.Handler())}
-	defer srv.Close()
-	// Serve returns ErrServerClosed when the deferred Close runs; the
-	// coordinator's Wait is the run's real verdict.
-	//lint:allow nofanout HTTP accept loop must not block the result drain; lifecycle is owned by the deferred Close, not the sweep engine
+	srv := &http.Server{Handler: dist.RequireToken(o.token, svc.Handler()), ReadHeaderTimeout: readHeaderTimeout}
+	// Serve returns ErrServerClosed once stop runs; the run's verdict
+	// comes from the service, not the accept loop.
+	//lint:allow nofanout HTTP accept loop must not block the run; lifecycle is owned by the returned stop, not the sweep engine
 	go func() { _ = srv.Serve(ln) }()
-	fmt.Fprintf(stderr, "sweepd: serving %d %s on http://%s\n", spec.N, noun, ln.Addr())
-
-	var writeErr error
-	for line := range c.Results() {
-		if writeErr != nil {
-			continue // post-cancel drain
+	return ln.Addr(), func() {
+		ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+		defer cancel()
+		if srv.Shutdown(ctx) != nil {
+			_ = srv.Close()
 		}
-		if _, err := stdout.Write(append(line, '\n')); err != nil {
-			writeErr = err
-			cancel()
-		}
-	}
-	err = c.Wait()
-	if writeErr != nil {
-		// The wait error is the cancellation this function triggered; the
-		// write failure (e.g. a broken pipe) is the root cause.
-		runErr = writeErr
-		fmt.Fprintln(stderr, "sweepd:", writeErr)
-		return 1
-	}
-	if err != nil {
-		runErr = err
-		return cli.Report("sweepd", err, prog, stderr)
-	}
-	return 0
+		stopMetrics()
+	}, nil
 }
 
 // runServeStore is `sweepd serve -store DIR`: the multi-batch service.
@@ -424,15 +470,14 @@ func runServeStore(ctx context.Context, o serveOptions, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "sweepd:", err)
 		return 1
 	}
-	defer st.Close()
-	reg := obs.NewRegistry()
 	svc, err := dist.NewService(ctx, dist.ServiceConfig{
-		Store: st, Units: o.units, LeaseTTL: o.lease, Metrics: reg,
+		Store: st, Units: o.units, LeaseTTL: o.lease,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(stderr, "sweepd: "+format+"\n", args...)
 		},
 	})
 	if err != nil {
+		st.Close()
 		fmt.Fprintln(stderr, "sweepd:", err)
 		return 1
 	}
@@ -441,25 +486,13 @@ func runServeStore(ctx context.Context, o serveOptions, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "sweepd: restored %d batches from %s (%d with work remaining)\n",
 			active+complete, o.store, active)
 	}
-	if o.metricsAddr != "" {
-		maddr, stopMetrics, err := obs.Serve(o.metricsAddr, reg)
-		if err != nil {
-			fmt.Fprintln(stderr, "sweepd:", err)
-			return 1
-		}
-		defer stopMetrics()
-		fmt.Fprintf(stderr, "sweepd: metrics on http://%s/metrics\n", maddr)
-	}
-	ln, err := net.Listen("tcp", o.addr)
+	addr, stopHTTP, err := serveHTTP(svc, o, stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, "sweepd:", err)
 		return 1
 	}
-	srv := &http.Server{Handler: dist.RequireToken(o.token, svc.Handler())}
-	defer srv.Close()
-	//lint:allow nofanout HTTP accept loop; lifecycle is owned by the deferred Close
-	go func() { _ = srv.Serve(ln) }()
-	fmt.Fprintf(stderr, "sweepd: serving batch queue on http://%s (store %s)\n", ln.Addr(), o.store)
+	defer stopHTTP()
+	fmt.Fprintf(stderr, "sweepd: serving batch queue on http://%s (store %s)\n", addr, o.store)
 
 	start := time.Now()
 	<-ctx.Done()
@@ -822,7 +855,9 @@ func runJournal(_ context.Context, args []string, stdin io.Reader, stdout, stder
 		if !ok {
 			continue
 		}
-		if _, err := stdout.Write(append(line, '\n')); err != nil {
+		// Full slice expression: append must copy, never write into the
+		// memory the line shares with the result body it came from.
+		if _, err := stdout.Write(append(line[:len(line):len(line)], '\n')); err != nil {
 			fmt.Fprintln(stderr, "sweepd:", err)
 			return 1
 		}

@@ -1,10 +1,11 @@
 // Distsweep demonstrates the distributed sweep subsystem end to end, in
-// one process: a coordinator splits the example scenario batch into work
-// units, two workers lease and execute them over loopback HTTP, and the
-// coordinator reassembles the NDJSON results on stdout in input order —
-// byte-identical to what `scenario -stream` emits for the same batch. A
-// checkpoint journal rides along, so a killed run restarted with the same
-// command completes only the remainder.
+// one process: a service holding the example scenario batch splits it
+// into work units, two workers lease and execute them over loopback HTTP,
+// and the service's ordered reader writes the NDJSON results to stdout in
+// input order — byte-identical to what `scenario -stream` emits for the
+// same batch. The service's store is a single checkpoint journal, so a
+// killed run restarted with the same command completes only the
+// remainder.
 //
 //	go run ./examples/distsweep
 //	go run ./examples/distsweep | diff - <(go run ./cmd/scenario -f examples/scenarios.json -stream)
@@ -16,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net/http/httptest"
@@ -25,8 +27,8 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/dist"
+	"repro/internal/dist/store"
 	"repro/internal/scenario"
-	"repro/internal/work"
 )
 
 func main() {
@@ -44,32 +46,28 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The spec tells the coordinator how to shard the batch; its hash pins
-	// the checkpoint journal to exactly this input. SpecOf works for any
-	// work.Batch — experiments distribute through the same two lines.
-	spec, err := dist.SpecOf(b)
-	if err != nil {
-		log.Fatal(err)
-	}
-	jr, done, err := work.OpenJournal("distsweep.journal", b, true)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer jr.Close()
-	if len(done) > 0 {
-		fmt.Fprintf(os.Stderr, "resuming: %d/%d scenarios already journaled\n", len(done), spec.N)
-	}
-
-	c, err := dist.New(ctx, spec, dist.Config{
+	// The store is one checkpoint journal, resumed when it exists (its
+	// header hash pins it to exactly this input). Any work.Batch
+	// distributes the same way — experiments and grids included.
+	svcCtx, stopService := context.WithCancel(ctx)
+	defer stopService()
+	svc, err := dist.NewService(svcCtx, dist.ServiceConfig{
+		Store:    store.OpenJournal("distsweep.journal", true),
 		Units:    4,
 		LeaseTTL: 10 * time.Second,
-		Journal:  jr,
-		Done:     done,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := httptest.NewServer(c.Handler())
+	defer svc.Close()
+	st, _, err := svc.Submit(b)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if st.ItemsCachedJournal > 0 {
+		fmt.Fprintf(os.Stderr, "resuming: %d/%d scenarios already journaled\n", st.ItemsCachedJournal, st.N)
+	}
+	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 
 	// Two workers — in production these are `sweepd work` processes on
@@ -94,17 +92,26 @@ func main() {
 		}()
 	}
 
-	// The coordinator emits assembled lines in input order as the ordered
-	// prefix completes; resumed lines are skipped, not re-emitted.
-	for line := range c.Results() {
-		fmt.Printf("%s\n", line)
-	}
+	// The ordered reader hands over lines in input order as the ordered
+	// prefix completes; lines a previous run journaled are skipped, not
+	// re-emitted. Once the batch is terminal, stopping the service tells
+	// the workers the sweep is over.
+	err = svc.Results(ctx, st.ID, func(line []byte, cached bool) error {
+		if !cached {
+			fmt.Printf("%s\n", line)
+		}
+		return nil
+	})
+	stopService()
 	wg.Wait()
-	if err := c.Wait(); err != nil {
+	if err != nil {
 		if cli.Cancelled(err) {
 			log.Fatal("cancelled; the journal keeps what finished — rerun to resume")
 		}
 		log.Fatal(err)
+	}
+	if final, _ := svc.Batch(st.ID); final.State != dist.BatchDone {
+		log.Fatalf("batch %s: %s", final.State, final.Error)
 	}
 	fmt.Fprintln(os.Stderr, "sweep complete; remove distsweep.journal to rerun from scratch")
 }

@@ -1,7 +1,7 @@
 package dist
 
 import (
-	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,18 +11,10 @@ import (
 
 // TestRequireTokenGate pins the middleware contract: no header, a
 // malformed header, and a wrong secret are all 401 without reaching the
-// coordinator; the right secret passes through.
+// service; the right secret passes through.
 func TestRequireTokenGate(t *testing.T) {
-	ctx := t.Context()
-	c, err := New(ctx, toySpec(2), Config{Units: 1, LeaseTTL: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		for range c.Results() {
-		}
-	}()
-	srv := httptest.NewServer(RequireToken("s3cret", c.Handler()))
+	o := startOneBatch(t, t.Context(), toyBatch{2}, "", false, ServiceConfig{Units: 1})
+	srv := httptest.NewServer(RequireToken("s3cret", o.svc.Handler()))
 	t.Cleanup(srv.Close)
 
 	post := func(auth string) int {
@@ -50,30 +42,36 @@ func TestRequireTokenGate(t *testing.T) {
 	}
 }
 
-// TestTokenCoversEveryEndpoint pins that the observability endpoints sit
-// behind the same gate as the work protocol: every route — the status
-// probe and the metrics exposition included — answers 401 without the
-// secret and 200 with it. A fleet whose wire protocol needs a token must
-// not leak progress or worker liveness to anonymous scrapers.
+// TestTokenCoversEveryEndpoint pins that every route sits behind the
+// gate — the work protocol, the batch lifecycle, the status probe, and
+// the metrics exposition alike: each answers 401 without the secret and
+// passes through with it. A fleet whose wire protocol needs a token must
+// not leak progress, results, or worker liveness to anonymous clients.
 func TestTokenCoversEveryEndpoint(t *testing.T) {
-	ctx := t.Context()
-	c, err := New(ctx, toySpec(2), Config{Units: 1, LeaseTTL: time.Minute})
+	o := startOneBatch(t, t.Context(), toyBatch{1}, "", false, ServiceConfig{Units: 1})
+	srv := httptest.NewServer(RequireToken("s3cret", o.svc.Handler()))
+	t.Cleanup(srv.Close)
+
+	submit, err := json.Marshal(map[string]any{"kind": "no-such-kind", "payload": json.RawMessage(`{}`)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		for range c.Results() {
-		}
-	}()
-	srv := httptest.NewServer(RequireToken("s3cret", c.Handler()))
-	t.Cleanup(srv.Close)
-
+	id := o.id
 	endpoints := []struct {
 		method, path, body string
+		want               int // status with the token
 	}{
-		{http.MethodPost, "/v1/lease", `{"worker":"w"}`},
-		{http.MethodGet, "/v1/status", ""},
-		{http.MethodGet, "/metrics", ""},
+		{http.MethodPost, "/v1/lease", `{"worker":"w"}`, http.StatusOK},
+		{http.MethodPost, "/v1/heartbeat", `{"worker":"w","unit":0,"batch":"` + id + `"}`, http.StatusOK},
+		{http.MethodPost, "/v1/result?worker=w&unit=0&batch=" + id, "{\"x\":1}\n", http.StatusOK},
+		{http.MethodPost, "/v1/fail", `{"worker":"w","unit":0,"batch":"` + id + `","error":"e"}`, http.StatusOK},
+		{http.MethodGet, "/v1/status", "", http.StatusOK},
+		{http.MethodGet, "/metrics", "", http.StatusOK},
+		{http.MethodPost, "/v1/batches", string(submit), http.StatusBadRequest},
+		{http.MethodGet, "/v1/batches", "", http.StatusOK},
+		{http.MethodGet, "/v1/batches/" + id, "", http.StatusOK},
+		{http.MethodGet, "/v1/batches/" + id + "/results", "", http.StatusOK},
+		{http.MethodDelete, "/v1/batches/" + id, "", http.StatusOK},
 	}
 	for _, ep := range endpoints {
 		do := func(withToken bool) int {
@@ -94,8 +92,8 @@ func TestTokenCoversEveryEndpoint(t *testing.T) {
 		if code := do(false); code != http.StatusUnauthorized {
 			t.Errorf("%s %s without token: status %d, want 401", ep.method, ep.path, code)
 		}
-		if code := do(true); code != http.StatusOK {
-			t.Errorf("%s %s with token: status %d, want 200", ep.method, ep.path, code)
+		if code := do(true); code != ep.want {
+			t.Errorf("%s %s with token: status %d, want %d", ep.method, ep.path, code, ep.want)
 		}
 	}
 }
@@ -112,15 +110,12 @@ func TestRequireTokenEmptyDisables(t *testing.T) {
 }
 
 // TestWorkerSendsToken runs a full distributed toy batch through a
-// token-gated coordinator: workers carrying the secret complete it,
-// workers without it fail their first lease with a 401.
+// token-gated service: workers carrying the secret complete it, workers
+// without it fail their first lease with a 401.
 func TestWorkerSendsToken(t *testing.T) {
 	ctx := t.Context()
-	c, err := New(ctx, toySpec(6), Config{Units: 3, LeaseTTL: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(RequireToken("s3cret", c.Handler()))
+	o := startOneBatch(t, ctx, toyBatch{6}, "", false, ServiceConfig{Units: 3})
+	srv := httptest.NewServer(RequireToken("s3cret", o.svc.Handler()))
 	t.Cleanup(srv.Close)
 
 	intruder := &Worker{
@@ -131,8 +126,7 @@ func TestWorkerSendsToken(t *testing.T) {
 		t.Fatalf("tokenless worker must fail with 401, got %v", err)
 	}
 
-	done := make(chan *bytes.Buffer, 1)
-	go func() { done <- drain(c) }()
+	done := o.drainAsync(t, ctx)
 	w := &Worker{
 		Coordinator: srv.URL, ID: "w0", Exec: toyExec(-1),
 		Client: srv.Client(), Poll: 5 * time.Millisecond, Token: "s3cret",
@@ -140,11 +134,7 @@ func TestWorkerSendsToken(t *testing.T) {
 	if err := w.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
-	buf := <-done
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := buf.String(), toyWant(6); got != want {
+	if got, want := (<-done).String(), toyWant(6); got != want {
 		t.Errorf("token-gated run:\n got: %q\nwant: %q", got, want)
 	}
 }

@@ -21,33 +21,10 @@ type Unit struct {
 	Kind string `json:"kind"`
 	// Payload is the kind-specific work description.
 	Payload json.RawMessage `json:"payload"`
-	// Batch identifies the batch this unit belongs to in service mode
-	// (the store's kind-hash batch ID); workers echo it on heartbeats,
-	// results, and failure reports so a multi-batch service can route
-	// them. One-shot coordinators leave it empty, and the field is
-	// omitted — the single-batch protocol is unchanged on the wire.
+	// Batch identifies the batch this unit belongs to (the store's
+	// kind-hash batch ID); workers echo it on heartbeats, results, and
+	// failure reports so the service can route them.
 	Batch string `json:"batch,omitempty"`
-}
-
-// Spec describes a divisible batch to the coordinator: how many ordered
-// items it has, how to render the payload for a contiguous range of them,
-// and the content hash that pins the input across restarts.
-type Spec struct {
-	// Kind tags the payload family of every unit.
-	Kind string
-	// Hash is the canonical content hash of the input batch
-	// (journal.Hash); it keys checkpoint resume.
-	Hash string
-	// N is the number of ordered items.
-	N int
-	// Payload renders the work description for one contiguous item range.
-	Payload func(r sweep.Range) (json.RawMessage, error)
-	// Env, when non-nil, describes process-wide environment state the
-	// batch's output depends on (work.EnvDescriber — the experiments
-	// kind's simulation scale). It rides along with every granted lease so
-	// workers can refuse units their local environment would compute
-	// differently.
-	Env json.RawMessage
 }
 
 // leaseRequest is the body of POST /v1/lease.
@@ -58,15 +35,16 @@ type leaseRequest struct {
 // LeaseResponse is the coordinator's answer to a lease request: a unit to
 // execute, a backoff hint when everything is currently leased, or done.
 type LeaseResponse struct {
-	// Done reports that no more work will ever be handed out: the batch
-	// completed, failed, or the coordinator is shutting down. Workers exit.
+	// Done reports that no more work will ever be handed out: the service
+	// is shutting down (a one-batch `sweepd serve` stops its service once
+	// the batch is terminal). Workers exit.
 	Done bool `json:"done"`
 	// Unit is the leased work unit, nil when Done or when all remaining
 	// units are leased to other workers.
 	Unit *Unit `json:"unit,omitempty"`
-	// Env, present only alongside Unit, is the coordinator's declared
-	// environment for the batch (Spec.Env) — for the experiments kind,
-	// the simulation scale the batch hash pins. Workers with a VerifyEnv
+	// Env, present only alongside Unit, is the batch's declared
+	// environment (work.EnvDescriber) — for the experiments kind, the
+	// simulation scale the batch hash pins. Workers with a VerifyEnv
 	// hook check it against their local environment and hard-fail on
 	// mismatch instead of silently blending scales into one result set.
 	Env json.RawMessage `json:"env,omitempty"`
@@ -79,7 +57,7 @@ type LeaseResponse struct {
 }
 
 // heartbeatRequest is the body of POST /v1/heartbeat. Batch scopes the
-// unit ID in service mode; one-shot coordinators ignore it.
+// unit ID to the batch it belongs to.
 type heartbeatRequest struct {
 	Worker string `json:"worker"`
 	Unit   int    `json:"unit"`
@@ -88,8 +66,8 @@ type heartbeatRequest struct {
 
 // failRequest is the body of POST /v1/fail: a deterministic execution
 // failure that should abort the whole batch (retrying deterministic work
-// elsewhere would only fail again). Batch scopes the unit ID in service
-// mode, where the failure aborts that one batch, not the service.
+// elsewhere would only fail again). Batch scopes the unit ID; the failure
+// aborts that one batch, not the service.
 type failRequest struct {
 	Worker string `json:"worker"`
 	Unit   int    `json:"unit"`
@@ -97,45 +75,8 @@ type failRequest struct {
 	Batch  string `json:"batch,omitempty"`
 }
 
-// Status is the GET /v1/status snapshot — the operator probe for a long
-// sweep: N is the full item count (a grid batch's total point count),
-// ItemsDone counts completed items including the journal-replayed
-// ItemsResumed, and UnitsLeased is the current in-flight fan-out. The
-// derived fields describe this run's pace: ElapsedMS since the
-// coordinator started, ItemsPerSec over the items this run executed
-// (replayed indices are excluded — a resumed run reports the rate of
-// what it actually ran), and ETAMS extrapolating that rate over the
-// remainder. Workers and InFlight break the fleet down per worker and
-// per leased unit, with liveness and straggler flags.
-type Status struct {
-	Kind         string `json:"kind"`
-	N            int    `json:"n"`
-	ItemsDone    int    `json:"items_done"`
-	ItemsResumed int    `json:"items_resumed"`
-	UnitsTotal   int    `json:"units_total"`
-	UnitsDone    int    `json:"units_done"`
-	UnitsLeased  int    `json:"units_leased"`
-	Failed       bool   `json:"failed"`
-	// ElapsedMS is the wall time since the coordinator was created.
-	ElapsedMS int64 `json:"elapsed_ms"`
-	// ItemsPerSec is the observed completion rate of items this run
-	// executed (0 until the first completion).
-	ItemsPerSec float64 `json:"items_per_sec"`
-	// ETAMS extrapolates ItemsPerSec over the remaining items; omitted
-	// while no rate is observable or when nothing remains.
-	ETAMS int64 `json:"eta_ms,omitempty"`
-	// UnitMeanMS is the mean execution time of completed units — the
-	// baseline the straggler flag compares lease ages against.
-	UnitMeanMS float64 `json:"unit_mean_ms,omitempty"`
-	// Workers lists every worker that ever contacted this coordinator,
-	// sorted by ID.
-	Workers []WorkerStatus `json:"workers,omitempty"`
-	// InFlight lists the currently leased units, sorted by unit ID.
-	InFlight []UnitStatus `json:"in_flight,omitempty"`
-}
-
-// WorkerStatus is one fleet member's row in Status: what it has done and
-// when it was last heard from. A worker is Live while its silence is
+// WorkerStatus is one fleet member's row in ServiceStatus: what it has
+// done and when it was last heard from. A worker is Live while its silence is
 // shorter than the lease TTL — the same threshold that would forfeit its
 // unit.
 type WorkerStatus struct {
@@ -152,8 +93,10 @@ type WorkerStatus struct {
 	CurrentUnit *int `json:"current_unit,omitempty"`
 }
 
-// UnitStatus is one in-flight unit's row in Status.
+// UnitStatus is one in-flight unit's row in ServiceStatus.
 type UnitStatus struct {
+	// Batch is the unit's batch ID; ID is the unit's index within it.
+	Batch  string `json:"batch"`
 	ID     int    `json:"id"`
 	Worker string `json:"worker"`
 	// Items is the number of input items the unit covers.
@@ -162,8 +105,8 @@ type UnitStatus struct {
 	// (across renewals — heartbeats extend the deadline, not this age).
 	LeaseAgeMS int64 `json:"lease_age_ms"`
 	// Straggler flags a unit whose lease age exceeds twice the mean
-	// completed-unit execution time, once at least strugglerMinSamples
-	// units have completed (stragglerMinSamples) — the units to watch
-	// (or the workers to restart) when a sweep's tail drags.
+	// completed-unit execution time, once at least stragglerMinSamples
+	// units have completed — the units to watch (or the workers to
+	// restart) when a sweep's tail drags.
 	Straggler bool `json:"straggler,omitempty"`
 }

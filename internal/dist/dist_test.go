@@ -15,22 +15,27 @@ import (
 	"time"
 
 	"repro/internal/dist/journal"
+	"repro/internal/dist/store"
 	"repro/internal/exp"
 	"repro/internal/scenario"
 	"repro/internal/sweep"
+	"repro/internal/work"
 )
 
-// toySpec is a fast synthetic batch: item i's result line is {"i":i}. It
-// exercises every protocol path without paying for real simulations.
-func toySpec(n int) Spec {
-	return Spec{
-		Kind: "toy",
-		Hash: "toyhash",
-		N:    n,
-		Payload: func(r sweep.Range) (json.RawMessage, error) {
-			return json.Marshal(r)
-		},
-	}
+// toyBatch is a fast synthetic work.Batch: item i's result line is
+// {"i":i}, and a unit's payload is its bare range, which toyExec runs
+// without the work registry. It exercises every protocol path without
+// paying for real simulations.
+type toyBatch struct{ n int }
+
+func (b toyBatch) Kind() string          { return "toy" }
+func (b toyBatch) Len() int              { return b.n }
+func (b toyBatch) Hash() (string, error) { return fmt.Sprintf("toyhash%d", b.n), nil }
+func (b toyBatch) RunItem(_ context.Context, i int) (json.RawMessage, error) {
+	return json.RawMessage(fmt.Sprintf(`{"i":%d}`, i)), nil
+}
+func (b toyBatch) MarshalRange(r sweep.Range) (json.RawMessage, error) {
+	return json.Marshal(r)
 }
 
 // toyExec executes toy units; failAt >= 0 makes the unit containing that
@@ -61,20 +66,100 @@ func toyWant(n int) string {
 	return b.String()
 }
 
-// startCoordinator boots a coordinator and its HTTP server, cleaning both
-// up with the test.
-func startCoordinator(t *testing.T, ctx context.Context, spec Spec, cfg Config) (*Coordinator, *httptest.Server) {
-	t.Helper()
-	c, err := New(ctx, spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(c.Handler())
-	t.Cleanup(srv.Close)
-	return c, srv
+// oneBatch is the shape one-shot `sweepd serve` runs: a service over a
+// single-journal store holding one submitted batch, served over HTTP.
+type oneBatch struct {
+	svc  *Service
+	srv  *httptest.Server
+	id   string
+	stop context.CancelFunc // ends the service context
+	// close stops the service and releases the server and the store; it
+	// is idempotent and also runs at test cleanup.
+	close func()
 }
 
-// runWorkers runs k in-process workers against the coordinator and waits
+// startOneBatch submits b to a fresh one-batch service whose journal is
+// path (a temp file when empty), resumed when resume is set. ctx is the
+// service's parent context. Workers get a 5ms retry hint unless cfg
+// sets one, so they notice the shutdown promptly.
+func startOneBatch(t *testing.T, ctx context.Context, b work.Batch, path string, resume bool, cfg ServiceConfig) oneBatch {
+	t.Helper()
+	if path == "" {
+		path = filepath.Join(t.TempDir(), "batch.journal")
+	}
+	cfg.Store = store.OpenJournal(path, resume)
+	if cfg.LeaseTTL == 0 {
+		cfg.LeaseTTL = time.Minute
+	}
+	if cfg.RetryAfter == 0 {
+		cfg.RetryAfter = 5 * time.Millisecond
+	}
+	sctx, stop := context.WithCancel(ctx)
+	svc, err := NewService(sctx, cfg)
+	if err != nil {
+		stop()
+		t.Fatal(err)
+	}
+	st, _, err := svc.Submit(b)
+	if err != nil {
+		stop()
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(svc.Handler())
+	var once sync.Once
+	o := oneBatch{svc: svc, srv: srv, id: st.ID, stop: stop, close: func() {
+		once.Do(func() {
+			stop()
+			srv.CloseClientConnections()
+			srv.Close()
+			svc.Close()
+		})
+	}}
+	t.Cleanup(o.close)
+	return o
+}
+
+// drain reads the batch's ordered stream in-process — what one-shot
+// serve writes to stdout, skipping lines a resume replayed — and then
+// stops the service, as serve does once the batch is terminal.
+func (o oneBatch) drain(ctx context.Context) (*bytes.Buffer, error) {
+	var buf bytes.Buffer
+	err := o.svc.Results(ctx, o.id, func(line []byte, cached bool) error {
+		if !cached {
+			buf.Write(line)
+			buf.WriteByte('\n')
+		}
+		return nil
+	})
+	o.stop()
+	return &buf, err
+}
+
+// drainAsync runs drain on its own goroutine; the channel yields the
+// output once the stream ended without error.
+func (o oneBatch) drainAsync(t *testing.T, ctx context.Context) <-chan *bytes.Buffer {
+	out := make(chan *bytes.Buffer, 1)
+	go func() {
+		buf, err := o.drain(ctx)
+		if err != nil {
+			t.Errorf("results: %v", err)
+		}
+		out <- buf
+	}()
+	return out
+}
+
+// state reads the batch's status row.
+func (o oneBatch) state(t *testing.T) BatchStatus {
+	t.Helper()
+	st, ok := o.svc.Batch(o.id)
+	if !ok {
+		t.Fatalf("service lost batch %s", o.id)
+	}
+	return st
+}
+
+// runWorkers runs k in-process workers against the service and waits
 // for all of them; the first non-nil worker error is returned.
 func runWorkers(ctx context.Context, srv *httptest.Server, k int, exec Executor) error {
 	var (
@@ -106,39 +191,27 @@ func runWorkers(ctx context.Context, srv *httptest.Server, k int, exec Executor)
 	return werr
 }
 
-// drain collects the coordinator's emitted NDJSON lines into one buffer.
-func drain(c *Coordinator) *bytes.Buffer {
-	var buf bytes.Buffer
-	for line := range c.Results() {
-		buf.Write(line)
-		buf.WriteByte('\n')
-	}
-	return &buf
-}
-
 // TestToyDistributedOrder checks the basic contract on a synthetic batch:
 // several workers, more units than workers, output in input order.
 func TestToyDistributedOrder(t *testing.T) {
 	ctx := t.Context()
-	c, srv := startCoordinator(t, ctx, toySpec(10), Config{Units: 4, LeaseTTL: time.Minute})
+	o := startOneBatch(t, ctx, toyBatch{10}, "", false, ServiceConfig{Units: 4})
 
-	done := make(chan *bytes.Buffer, 1)
-	go func() { done <- drain(c) }()
-	if err := runWorkers(ctx, srv, 3, toyExec(-1)); err != nil {
+	done := o.drainAsync(t, ctx)
+	if err := runWorkers(ctx, o.srv, 3, toyExec(-1)); err != nil {
 		t.Fatal(err)
 	}
-	buf := <-done
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := buf.String(), toyWant(10); got != want {
+	if got, want := (<-done).String(), toyWant(10); got != want {
 		t.Errorf("distributed output out of order:\n got: %q\nwant: %q", got, want)
+	}
+	if st := o.state(t); st.State != BatchDone {
+		t.Errorf("batch state %s, want done", st.State)
 	}
 }
 
 // TestScenarioDistributedMatchesSequential is the acceptance test: a
-// coordinator with two in-process workers produces byte-identical NDJSON
-// to the buffered sequential run of the same scenario batch.
+// one-batch service with two in-process workers produces byte-identical
+// NDJSON to the buffered sequential run of the same scenario batch.
 func TestScenarioDistributedMatchesSequential(t *testing.T) {
 	b := testBatch(t, 4)
 
@@ -148,22 +221,13 @@ func TestScenarioDistributedMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	spec, err := SpecOf(b)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := t.Context()
-	c, srv := startCoordinator(t, ctx, spec, Config{Units: 3, LeaseTTL: time.Minute})
-	done := make(chan *bytes.Buffer, 1)
-	go func() { done <- drain(c) }()
-	if err := runWorkers(ctx, srv, 2, RegistryExecutor(1)); err != nil {
+	o := startOneBatch(t, ctx, b, "", false, ServiceConfig{Units: 3})
+	done := o.drainAsync(t, ctx)
+	if err := runWorkers(ctx, o.srv, 2, RegistryExecutor(1)); err != nil {
 		t.Fatal(err)
 	}
-	got := <-done
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+	if got := <-done; !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Errorf("distributed output differs from sequential:\n got: %s\nwant: %s", got.Bytes(), want.Bytes())
 	}
 }
@@ -188,24 +252,18 @@ func testBatch(t *testing.T, n int) scenario.Batch {
 // re-leased, and the batch still completes with ordered, complete output.
 func TestWorkerDeathReLease(t *testing.T) {
 	ctx := t.Context()
-	c, srv := startCoordinator(t, ctx, toySpec(6), Config{Units: 3, LeaseTTL: 50 * time.Millisecond})
+	o := startOneBatch(t, ctx, toyBatch{6}, "", false, ServiceConfig{Units: 3, LeaseTTL: 50 * time.Millisecond})
 
 	// The zombie takes a lease and is never heard from again.
-	zombie := leaseRaw(t, srv, "zombie")
-	if zombie.Unit == nil {
+	if zombie := leaseRaw(t, o.srv, "zombie"); zombie.Unit == nil {
 		t.Fatal("zombie got no unit")
 	}
 
-	done := make(chan *bytes.Buffer, 1)
-	go func() { done <- drain(c) }()
-	if err := runWorkers(ctx, srv, 1, toyExec(-1)); err != nil {
+	done := o.drainAsync(t, ctx)
+	if err := runWorkers(ctx, o.srv, 1, toyExec(-1)); err != nil {
 		t.Fatal(err)
 	}
-	buf := <-done
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := buf.String(), toyWant(6); got != want {
+	if got, want := (<-done).String(), toyWant(6); got != want {
 		t.Errorf("output after worker death:\n got: %q\nwant: %q", got, want)
 	}
 }
@@ -214,75 +272,61 @@ func TestWorkerDeathReLease(t *testing.T) {
 // accepted without duplicating lines: results are idempotent per index.
 func TestLateResultIdempotent(t *testing.T) {
 	ctx := t.Context()
-	c, srv := startCoordinator(t, ctx, toySpec(4), Config{Units: 2, LeaseTTL: 50 * time.Millisecond})
+	o := startOneBatch(t, ctx, toyBatch{4}, "", false, ServiceConfig{Units: 2, LeaseTTL: 50 * time.Millisecond})
 
-	zombie := leaseRaw(t, srv, "zombie")
+	zombie := leaseRaw(t, o.srv, "zombie")
 	if zombie.Unit == nil {
 		t.Fatal("zombie got no unit")
 	}
 
-	done := make(chan *bytes.Buffer, 1)
-	go func() { done <- drain(c) }()
-	if err := runWorkers(ctx, srv, 1, toyExec(-1)); err != nil {
+	done := o.drainAsync(t, ctx)
+	if err := runWorkers(ctx, o.srv, 1, toyExec(-1)); err != nil {
 		t.Fatal(err)
 	}
 	buf := <-done
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
-	}
 
 	// The zombie wakes up and reports the unit everyone moved past.
-	u := *zombie.Unit
-	var lines []string
-	for i := u.Range.Lo; i < u.Range.Hi; i++ {
-		lines = append(lines, fmt.Sprintf(`{"i":%d}`, i))
-	}
-	resp, err := srv.Client().Post(
-		fmt.Sprintf("%s/v1/result?worker=zombie&unit=%d", srv.URL, u.ID),
-		"application/x-ndjson", strings.NewReader(strings.Join(lines, "\n")+"\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("late result rejected: %s", resp.Status)
-	}
+	postToyResult(t, o.srv, "zombie", *zombie.Unit, -1)
 	if got, want := buf.String(), toyWant(4); got != want {
 		t.Errorf("late result corrupted output:\n got: %q\nwant: %q", got, want)
 	}
+	if st := o.state(t); st.ItemsDone != 4 || st.ItemsExecuted != 4 {
+		t.Errorf("late result double-counted: %+v", st)
+	}
 }
 
-// TestFailurePropagates checks a deterministic unit failure aborts the
-// batch: the worker reports it, Wait returns it, and later leases tell
-// workers the run is over.
+// TestFailurePropagates checks a deterministic unit failure fails the
+// batch: the worker reports it, the batch status carries it, the result
+// stream ends at the gap, and once the one-batch service stops, leases
+// tell workers the run is over.
 func TestFailurePropagates(t *testing.T) {
 	ctx := t.Context()
-	c, srv := startCoordinator(t, ctx, toySpec(6), Config{Units: 3, LeaseTTL: time.Minute})
+	o := startOneBatch(t, ctx, toyBatch{6}, "", false, ServiceConfig{Units: 3})
 
-	done := make(chan *bytes.Buffer, 1)
-	go func() { done <- drain(c) }()
-	werr := runWorkers(ctx, srv, 2, toyExec(4))
+	done := o.drainAsync(t, ctx)
+	werr := runWorkers(ctx, o.srv, 2, toyExec(4))
 	<-done
 	if werr == nil || !strings.Contains(werr.Error(), "exploded") {
 		t.Fatalf("worker error = %v, want the toy explosion", werr)
 	}
-	if err := c.Wait(); err == nil || !strings.Contains(err.Error(), "exploded") {
-		t.Fatalf("Wait() = %v, want the unit failure", err)
+	if st := o.state(t); st.State != BatchFailed || !strings.Contains(st.Error, "exploded") {
+		t.Fatalf("batch = %+v, want failed with the unit failure", st)
 	}
-	if lease := leaseRaw(t, srv, "latecomer"); !lease.Done {
+	if lease := leaseRaw(t, o.srv, "latecomer"); !lease.Done {
 		t.Error("post-failure lease should report done so workers exit")
 	}
 }
 
-// TestResumeSkipsFinishedUnits restarts a coordinator against a journal
-// holding a finished prefix and checks: covered units are never leased,
-// nothing journaled is re-emitted, and journal + new emissions reassemble
-// the full sequential output.
+// TestResumeSkipsFinishedUnits restarts a one-batch service against a
+// journal holding a finished prefix and checks: covered units are never
+// leased, nothing journaled is re-emitted, and journal + new emissions
+// reassemble the full sequential output.
 func TestResumeSkipsFinishedUnits(t *testing.T) {
 	const n = 8
-	spec := toySpec(n)
+	b := toyBatch{n}
+	hash, _ := b.Hash()
 	path := filepath.Join(t.TempDir(), "toy.journal")
-	h := journal.Header{Kind: spec.Kind, BatchSHA256: spec.Hash, N: n}
+	h := journal.Header{Kind: b.Kind(), BatchSHA256: hash, N: n}
 
 	// A previous run completed indices 0..4 (units 0 and 1 of 4, plus a
 	// partial unit 2) before dying.
@@ -297,24 +341,18 @@ func TestResumeSkipsFinishedUnits(t *testing.T) {
 	}
 	j.Close()
 
-	j, replayed, err := journal.Resume(path, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-
-	var leased []int
 	ctx := t.Context()
-	c, err := New(ctx, spec, Config{Units: 4, LeaseTTL: time.Minute, Journal: j, Done: replayed})
-	if err != nil {
-		t.Fatal(err)
+	o := startOneBatch(t, ctx, b, path, true, ServiceConfig{Units: 4})
+	if st := o.state(t); st.ItemsCachedJournal != 5 {
+		t.Fatalf("resumed admission replayed %d items, want 5", st.ItemsCachedJournal)
 	}
-	srv := httptest.NewServer(c.Handler())
-	t.Cleanup(srv.Close)
 
-	var mu sync.Mutex
+	var (
+		mu     sync.Mutex
+		leased []int
+	)
 	w := &Worker{
-		Coordinator: srv.URL, ID: "w0", Client: srv.Client(), Poll: 5 * time.Millisecond,
+		Coordinator: o.srv.URL, ID: "w0", Client: o.srv.Client(), Poll: 5 * time.Millisecond,
 		Exec: toyExec(-1),
 		OnUnit: func(u Unit) {
 			mu.Lock()
@@ -322,15 +360,11 @@ func TestResumeSkipsFinishedUnits(t *testing.T) {
 			mu.Unlock()
 		},
 	}
-	done := make(chan *bytes.Buffer, 1)
-	go func() { done <- drain(c) }()
+	done := o.drainAsync(t, ctx)
 	if err := w.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
 	buf := <-done
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
-	}
 
 	// With 8 items in 4 units of 2, indices 0..4 done means units 0 and 1
 	// are fully covered and must never be executed again.
@@ -344,7 +378,7 @@ func TestResumeSkipsFinishedUnits(t *testing.T) {
 		t.Errorf("resumed emission:\n got: %q\nwant: %q", got, want)
 	}
 	// And the journal now reassembles the complete sequential output.
-	_, all, err := journal.Resume(path, h)
+	all, err := journal.Replay(path, h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,28 +397,22 @@ func TestResumeSkipsFinishedUnits(t *testing.T) {
 // rate with no ETA (nothing remains).
 func TestStatus(t *testing.T) {
 	ctx := t.Context()
-	c, srv := startCoordinator(t, ctx, toySpec(5), Config{Units: 2, LeaseTTL: time.Minute})
-	done := make(chan *bytes.Buffer, 1)
-	go func() { done <- drain(c) }()
-	if err := runWorkers(ctx, srv, 1, toyExec(-1)); err != nil {
+	o := startOneBatch(t, ctx, toyBatch{5}, "", false, ServiceConfig{Units: 2})
+	done := o.drainAsync(t, ctx)
+	if err := runWorkers(ctx, o.srv, 1, toyExec(-1)); err != nil {
 		t.Fatal(err)
 	}
 	<-done
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
+	st := getStatus(t, o.srv)
+	if len(st.Batches) != 1 {
+		t.Fatalf("status batches = %+v", st.Batches)
 	}
-	resp, err := srv.Client().Get(srv.URL + "/v1/status")
-	if err != nil {
-		t.Fatal(err)
+	if b := st.Batches[0]; b.Kind != "toy" || b.N != 5 || b.ItemsDone != 5 || b.ItemsCachedJournal != 0 ||
+		b.UnitsTotal != 2 || b.UnitsDone != 2 || b.UnitsLeased != 0 || b.State != BatchDone {
+		t.Errorf("batch row = %+v", b)
 	}
-	defer resp.Body.Close()
-	var st Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Kind != "toy" || st.N != 5 || st.ItemsDone != 5 || st.ItemsResumed != 0 ||
-		st.UnitsTotal != 2 || st.UnitsDone != 2 || st.UnitsLeased != 0 || st.Failed {
-		t.Errorf("status = %+v", st)
+	if st.QueueDepth != 0 {
+		t.Errorf("queue depth %d after completion", st.QueueDepth)
 	}
 	if st.ItemsPerSec <= 0 {
 		t.Errorf("completed run must report a positive rate, got %v", st.ItemsPerSec)
@@ -401,7 +429,7 @@ func TestStatus(t *testing.T) {
 	}
 }
 
-// fakeClock is a mutable obs.Clock for pinning the coordinator's derived
+// fakeClock is a mutable obs.Clock for pinning the service's derived
 // status arithmetic.
 type fakeClock struct {
 	mu  sync.Mutex
@@ -421,14 +449,14 @@ func (f *fakeClock) advance(d time.Duration) {
 }
 
 // getStatus scrapes GET /v1/status.
-func getStatus(t *testing.T, srv *httptest.Server) Status {
+func getStatus(t *testing.T, srv *httptest.Server) ServiceStatus {
 	t.Helper()
 	resp, err := srv.Client().Get(srv.URL + "/v1/status")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st Status
+	var st ServiceStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +471,7 @@ func postToyResult(t *testing.T, srv *httptest.Server, worker string, u Unit, ex
 	for i := u.Range.Lo; i < u.Range.Hi; i++ {
 		lines = append(lines, fmt.Sprintf(`{"i":%d}`, i))
 	}
-	target := fmt.Sprintf("%s/v1/result?worker=%s&unit=%d", srv.URL, worker, u.ID)
+	target := fmt.Sprintf("%s/v1/result?worker=%s&unit=%d&batch=%s", srv.URL, worker, u.ID, u.Batch)
 	if execMS >= 0 {
 		target += fmt.Sprintf("&exec_ms=%d", execMS)
 	}
@@ -465,10 +493,9 @@ func postToyResult(t *testing.T, srv *httptest.Server, worker string, u Unit, ex
 func TestStatusMidRun(t *testing.T) {
 	fc := &fakeClock{now: time.Unix(1000, 0)}
 	ctx := t.Context()
-	c, srv := startCoordinator(t, ctx, toySpec(8),
-		Config{Units: 4, LeaseTTL: time.Minute, Clock: fc.clock})
-	done := make(chan *bytes.Buffer, 1)
-	go func() { done <- drain(c) }()
+	o := startOneBatch(t, ctx, toyBatch{8}, "", false, ServiceConfig{Units: 4, Clock: fc.clock})
+	srv := o.srv
+	done := o.drainAsync(t, ctx)
 
 	// w0 executes unit 0 in one simulated second.
 	lease := leaseRaw(t, srv, "w0")
@@ -479,7 +506,7 @@ func TestStatusMidRun(t *testing.T) {
 	postToyResult(t, srv, "w0", *lease.Unit, 1000)
 
 	st := getStatus(t, srv)
-	if st.ItemsDone != 2 || st.ElapsedMS != 1000 {
+	if st.Batches[0].ItemsDone != 2 || st.ElapsedMS != 1000 {
 		t.Fatalf("after unit 0: %+v", st)
 	}
 	if st.ItemsPerSec != 2 {
@@ -494,7 +521,7 @@ func TestStatusMidRun(t *testing.T) {
 	if len(st.Workers) != 1 || st.Workers[0].LastSeenMS != 0 || !st.Workers[0].Live || st.Workers[0].CurrentUnit != nil {
 		t.Errorf("workers after unit 0 = %+v", st.Workers)
 	}
-	firstDone := st.ItemsDone
+	firstDone := st.Batches[0].ItemsDone
 
 	// w0 finishes units 1 and 2 at the same pace; the exec-time baseline
 	// now has stragglerMinSamples observations of ~1000ms each.
@@ -517,17 +544,17 @@ func TestStatusMidRun(t *testing.T) {
 	fc.advance(5 * time.Second)
 
 	st = getStatus(t, srv)
-	if st.ItemsDone < firstDone {
-		t.Errorf("items_done went backwards: %d -> %d", firstDone, st.ItemsDone)
+	if st.Batches[0].ItemsDone < firstDone {
+		t.Errorf("items_done went backwards: %d -> %d", firstDone, st.Batches[0].ItemsDone)
 	}
-	if st.ItemsDone != 6 || st.UnitsLeased != 1 {
+	if st.Batches[0].ItemsDone != 6 || st.Batches[0].UnitsLeased != 1 {
 		t.Fatalf("mid-run status = %+v", st)
 	}
 	if len(st.InFlight) != 1 {
 		t.Fatalf("in-flight = %+v", st.InFlight)
 	}
 	fl := st.InFlight[0]
-	if fl.ID != slow.ID || fl.Worker != "w1" || fl.Items != 2 || fl.LeaseAgeMS != 5000 {
+	if fl.Batch != o.id || fl.ID != slow.ID || fl.Worker != "w1" || fl.Items != 2 || fl.LeaseAgeMS != 5000 {
 		t.Errorf("in-flight unit = %+v", fl)
 	}
 	if !fl.Straggler {
@@ -566,11 +593,11 @@ func TestStatusMidRun(t *testing.T) {
 		t.Errorf("metrics content type = %q", ct)
 	}
 	for _, want := range []string{
-		`dist_items{kind="toy"} 8`,
-		`dist_items_done{kind="toy"} 6`,
-		`dist_units_leased{kind="toy"} 1`,
-		`dist_workers_live{kind="toy"} 2`,
-		`dist_items_per_second{kind="toy"} 0.75`,
+		`dist_batches{state="running"} 1`,
+		`dist_store_items{source="executed"} 6`,
+		`dist_service_workers_live 2`,
+		`dist_service_items_per_second 0.75`,
+		`dist_service_eta_seconds 2.6666666666666665`,
 		`dist_unit_exec_seconds_count{kind="toy"} 3`,
 		`dist_unit_exec_seconds_sum{kind="toy"} 3`,
 	} {
@@ -583,15 +610,12 @@ func TestStatusMidRun(t *testing.T) {
 	// settles monotone at done.
 	postToyResult(t, srv, "w1", slow, 800)
 	st = getStatus(t, srv)
-	if st.ItemsDone != 8 || st.UnitsDone != 4 || st.UnitsLeased != 0 || st.ETAMS != 0 || len(st.InFlight) != 0 {
+	if b := st.Batches[0]; b.ItemsDone != 8 || b.UnitsDone != 4 || b.UnitsLeased != 0 || b.State != BatchDone ||
+		st.ETAMS != 0 || len(st.InFlight) != 0 {
 		t.Errorf("final status = %+v", st)
 	}
 
-	buf := <-done
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := buf.String(), toyWant(8); got != want {
+	if got, want := (<-done).String(), toyWant(8); got != want {
 		t.Errorf("instrumented run output:\n got: %q\nwant: %q", got, want)
 	}
 }
@@ -602,27 +626,21 @@ func TestStatusMidRun(t *testing.T) {
 func TestStatusExecFallback(t *testing.T) {
 	fc := &fakeClock{now: time.Unix(1000, 0)}
 	ctx := t.Context()
-	c, srv := startCoordinator(t, ctx, toySpec(4),
-		Config{Units: 2, LeaseTTL: time.Minute, Clock: fc.clock})
-	done := make(chan *bytes.Buffer, 1)
-	go func() { done <- drain(c) }()
+	o := startOneBatch(t, ctx, toyBatch{4}, "", false, ServiceConfig{Units: 2, Clock: fc.clock})
+	done := o.drainAsync(t, ctx)
 
 	for i := 0; i < 2; i++ {
-		lease := leaseRaw(t, srv, "w0")
+		lease := leaseRaw(t, o.srv, "w0")
 		if lease.Unit == nil {
 			t.Fatal("no unit leased")
 		}
 		fc.advance(2 * time.Second)
-		postToyResult(t, srv, "w0", *lease.Unit, -1) // no exec_ms
+		postToyResult(t, o.srv, "w0", *lease.Unit, -1) // no exec_ms
 	}
-	st := getStatus(t, srv)
-	if st.UnitMeanMS != 2000 {
+	if st := getStatus(t, o.srv); st.UnitMeanMS != 2000 {
 		t.Errorf("lease-age fallback mean = %vms, want 2000", st.UnitMeanMS)
 	}
 	<-done
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // leaseRaw takes a lease over plain HTTP, bypassing the Worker loop.
@@ -642,36 +660,39 @@ func leaseRaw(t *testing.T, srv *httptest.Server, worker string) LeaseResponse {
 }
 
 // TestExperimentsSpec checks the experiment-grid glue without paying for a
-// real evaluation: unknown IDs fail on the coordinator, payloads carry the
-// right registry slice.
+// real evaluation: unknown IDs fail at batch construction, and every
+// leased unit's payload carries its range's slice of the selection.
 func TestExperimentsSpec(t *testing.T) {
 	if _, err := exp.NewBatch([]string{"fig1", "no-such-artifact"}, nil); err == nil ||
 		!strings.Contains(err.Error(), "no-such-artifact") {
 		t.Fatalf("unknown id must fail batch construction, got %v", err)
 	}
-	b, err := exp.NewBatch([]string{"fig1", "fig2", "tab-l1"}, nil)
+	ids := []string{"fig1", "fig2", "tab-l1"}
+	b, err := exp.NewBatch(ids, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := SpecOf(b)
-	if err != nil {
-		t.Fatal(err)
+	o := startOneBatch(t, t.Context(), b, "", false, ServiceConfig{Units: 2})
+	covered := 0
+	for k := 0; k < 2; k++ {
+		lease := leaseRaw(t, o.srv, fmt.Sprintf("w%d", k))
+		if lease.Unit == nil || lease.Unit.Kind != exp.WorkKind {
+			t.Fatalf("lease %d = %+v", k, lease)
+		}
+		var p struct {
+			IDs []string `json:"ids"`
+		}
+		if err := json.Unmarshal(lease.Unit.Payload, &p); err != nil {
+			t.Fatal(err)
+		}
+		r := lease.Unit.Range
+		if want := ids[r.Lo:r.Hi]; strings.Join(p.IDs, ",") != strings.Join(want, ",") {
+			t.Errorf("unit %d payload ids = %v, want %v", lease.Unit.ID, p.IDs, want)
+		}
+		covered += r.Len()
 	}
-	if spec.N != 3 || spec.Kind != exp.WorkKind {
-		t.Fatalf("spec = %+v", spec)
-	}
-	payload, err := spec.Payload(sweep.Range{Lo: 1, Hi: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var p struct {
-		IDs []string `json:"ids"`
-	}
-	if err := json.Unmarshal(payload, &p); err != nil {
-		t.Fatal(err)
-	}
-	if len(p.IDs) != 2 || p.IDs[0] != "fig2" || p.IDs[1] != "tab-l1" {
-		t.Fatalf("payload ids = %v", p.IDs)
+	if covered != len(ids) {
+		t.Errorf("units cover %d items, want %d", covered, len(ids))
 	}
 }
 

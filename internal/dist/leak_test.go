@@ -1,9 +1,9 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"errors"
-	"net/http/httptest"
 	"runtime"
 	"testing"
 	"time"
@@ -34,45 +34,30 @@ func settleGoroutines(t *testing.T) func() {
 	}
 }
 
-// TestNoLeakWhenWorkerDies checks the coordinator leaks nothing when a
+// TestNoLeakWhenWorkerDies checks the service leaks nothing when a
 // worker takes a lease and dies: the batch completes via re-lease and
-// every coordinator goroutine exits.
+// every service goroutine exits.
 func TestNoLeakWhenWorkerDies(t *testing.T) {
 	check := settleGoroutines(t)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	c, err := New(ctx, toySpec(6), Config{Units: 3, LeaseTTL: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(c.Handler())
-
-	if lease := leaseRaw(t, srv, "doomed"); lease.Unit == nil {
+	ctx := context.Background()
+	o := startOneBatch(t, ctx, toyBatch{6}, "", false, ServiceConfig{Units: 3, LeaseTTL: 50 * time.Millisecond})
+	if lease := leaseRaw(t, o.srv, "doomed"); lease.Unit == nil {
 		t.Fatal("doomed worker got no unit")
 	}
 	// The doomed worker never heartbeats again; a live one finishes the
 	// batch after the lease expires.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for range c.Results() {
-		}
-	}()
-	if err := runWorkers(ctx, srv, 1, toyExec(-1)); err != nil {
+	done := o.drainAsync(t, ctx)
+	if err := runWorkers(ctx, o.srv, 1, toyExec(-1)); err != nil {
 		t.Fatal(err)
 	}
 	<-done
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
-	}
 
-	cancel()
-	srv.CloseClientConnections()
-	srv.Close()
+	o.close()
 	check()
 }
 
-// TestNoLeakWhenConsumerAbandons checks the emitter and workers unwind
+// TestNoLeakWhenConsumerAbandons checks the stream and workers unwind
 // when the result consumer walks away mid-stream: cancelling the run
 // context is enough, no draining required.
 func TestNoLeakWhenConsumerAbandons(t *testing.T) {
@@ -86,63 +71,43 @@ func TestNoLeakWhenConsumerAbandons(t *testing.T) {
 		}
 		return toyExec(-1)(uctx, u)
 	}
-	c, err := New(ctx, toySpec(32), Config{Units: 16, LeaseTTL: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(c.Handler())
+	o := startOneBatch(t, ctx, toyBatch{32}, "", false, ServiceConfig{Units: 16})
 
 	workersDone := make(chan error, 1)
-	go func() { workersDone <- runWorkers(ctx, srv, 2, slow) }()
+	go func() { workersDone <- runWorkers(ctx, o.srv, 2, slow) }()
 
-	// Read one line, then abandon the stream without draining.
-	select {
-	case <-c.Results():
-	case <-time.After(10 * time.Second):
-		t.Fatal("no first result")
-	}
-	cancel()
-
-	if err := c.Wait(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Wait() = %v, want context.Canceled", err)
+	// Take one line, then abandon the stream without draining.
+	err := o.svc.Results(ctx, o.id, func([]byte, bool) error {
+		cancel()
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Results() = %v, want context.Canceled", err)
 	}
 	if err := <-workersDone; err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("workers: %v", err)
 	}
 
-	srv.CloseClientConnections()
-	srv.Close()
+	o.close()
 	check()
 }
 
-// TestNoLeakAcrossManyRuns runs several full coordinator lifecycles and
-// checks nothing accumulates — the per-run goroutines (emitter, server,
-// workers, heartbeats) all terminate with their run.
+// TestNoLeakAcrossManyRuns runs several full one-batch lifecycles and
+// checks nothing accumulates — the per-run goroutines (server, workers,
+// heartbeats, stream wake-ups) all terminate with their run.
 func TestNoLeakAcrossManyRuns(t *testing.T) {
 	check := settleGoroutines(t)
+	ctx := context.Background()
 	for round := 0; round < 3; round++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		c, err := New(ctx, toySpec(8), Config{Units: 4, LeaseTTL: time.Minute})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := httptest.NewServer(c.Handler())
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for range c.Results() {
-			}
-		}()
-		if err := runWorkers(ctx, srv, 3, toyExec(-1)); err != nil {
+		o := startOneBatch(t, ctx, toyBatch{8}, "", false, ServiceConfig{Units: 4})
+		done := o.drainAsync(t, ctx)
+		if err := runWorkers(ctx, o.srv, 3, toyExec(-1)); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		<-done
-		if err := c.Wait(); err != nil {
-			t.Fatalf("round %d: %v", round, err)
+		if got := (<-done).String(); got != toyWant(8) {
+			t.Fatalf("round %d output %q", round, got)
 		}
-		cancel()
-		srv.CloseClientConnections()
-		srv.Close()
+		o.close()
 	}
 	check()
 }
@@ -151,18 +116,9 @@ func TestNoLeakAcrossManyRuns(t *testing.T) {
 // ends with its unit: after Run returns, no heartbeat goroutine survives.
 func TestWorkerHeartbeatStopsWithUnit(t *testing.T) {
 	check := settleGoroutines(t)
-	ctx := t.Context()
-	c, err := New(ctx, toySpec(4), Config{Units: 2, LeaseTTL: 30 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(c.Handler())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for range c.Results() {
-		}
-	}()
+	ctx := context.Background()
+	o := startOneBatch(t, ctx, toyBatch{4}, "", false, ServiceConfig{Units: 2, LeaseTTL: 30 * time.Millisecond})
+	done := o.drainAsync(t, ctx)
 	// Slow units force several heartbeats per lease.
 	slow := func(uctx context.Context, u Unit) ([][]byte, error) {
 		if err := sleep(uctx, 100*time.Millisecond); err != nil {
@@ -170,14 +126,57 @@ func TestWorkerHeartbeatStopsWithUnit(t *testing.T) {
 		}
 		return toyExec(-1)(uctx, u)
 	}
-	if err := runWorkers(ctx, srv, 2, slow); err != nil {
+	if err := runWorkers(ctx, o.srv, 2, slow); err != nil {
 		t.Fatal(err)
 	}
 	<-done
-	if err := c.Wait(); err != nil {
+	o.close()
+	check()
+}
+
+// TestOneBatchShutdown pins the one-shot lifecycle `sweepd serve` runs:
+// once the batch is terminal and the service context is cancelled,
+// every lease answers done, a worker's Run returns nil instead of
+// polling forever, and no goroutine outlives the run.
+func TestOneBatchShutdown(t *testing.T) {
+	check := settleGoroutines(t)
+	ctx := context.Background()
+	o := startOneBatch(t, ctx, toyBatch{4}, "", false, ServiceConfig{Units: 2})
+
+	done := make(chan error, 1)
+	go func() { done <- runWorkers(ctx, o.srv, 2, toyExec(-1)) }()
+	var buf bytes.Buffer
+	if err := o.svc.Results(ctx, o.id, func(line []byte, _ bool) error {
+		buf.Write(line)
+		buf.WriteByte('\n')
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	srv.CloseClientConnections()
-	srv.Close()
+	if got := buf.String(); got != toyWant(4) {
+		t.Fatalf("output %q", got)
+	}
+	if st := o.state(t); st.State != BatchDone {
+		t.Fatalf("batch state %s, want done", st.State)
+	}
+	// Terminal, but the service still runs: an idle poll is told to
+	// retry, not to exit — a standing service's fleet waits for the next
+	// submission. Cancelling the context is what ends the fleet.
+	if lease := leaseRaw(t, o.srv, "idle"); lease.Done || lease.RetryAfterMS == 0 {
+		t.Errorf("idle lease before shutdown = %+v, want a retry hint", lease)
+	}
+	o.stop()
+	if err := <-done; err != nil {
+		t.Fatalf("workers after shutdown: %v, want nil", err)
+	}
+	if lease := leaseRaw(t, o.srv, "late"); !lease.Done || lease.Unit != nil {
+		t.Errorf("lease after shutdown = %+v, want done", lease)
+	}
+	late := &Worker{Coordinator: o.srv.URL, ID: "late", Exec: toyExec(-1), Client: o.srv.Client()}
+	if err := late.Run(ctx); err != nil {
+		t.Errorf("worker joining after shutdown: %v, want nil", err)
+	}
+
+	o.close()
 	check()
 }

@@ -8,37 +8,6 @@ import (
 	"repro/internal/work"
 )
 
-// SpecOf describes any work.Batch to the coordinator: the unit payloads
-// are the batch's own range marshalling, the hash its canonical content
-// hash — so a checkpoint taken by a distributed run and one taken by a
-// single-process `work.Run -checkpoint` of the same batch are
-// interchangeable. This is the whole coordinator side of a payload kind;
-// there is no per-kind executor code in this package — the worker side
-// resolves units through the work registry (RegistryExecutor).
-func SpecOf(b work.Batch) (Spec, error) {
-	if b.Len() <= 0 {
-		return Spec{}, fmt.Errorf("dist: %s batch has no items", b.Kind())
-	}
-	hash, err := b.Hash()
-	if err != nil {
-		return Spec{}, err
-	}
-	spec := Spec{
-		Kind:    b.Kind(),
-		Hash:    hash,
-		N:       b.Len(),
-		Payload: b.MarshalRange,
-	}
-	// Kinds whose output depends on process-wide environment state
-	// declare it here, and every lease carries it to the fleet.
-	if d, ok := b.(work.EnvDescriber); ok {
-		if spec.Env, err = d.DescribeEnv(); err != nil {
-			return Spec{}, err
-		}
-	}
-	return spec, nil
-}
-
 // RegistryExecutor returns the universal worker-side executor: it rebuilds
 // any unit whose kind is registered with the work registry into a runnable
 // batch and executes it, emitting exactly the NDJSON lines the sequential

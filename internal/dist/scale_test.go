@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -10,65 +9,55 @@ import (
 	"time"
 
 	"repro/internal/exp"
-	"repro/internal/sweep"
 )
 
-// TestSpecOfDescribesEnv checks SpecOf forwards an EnvDescriber batch's
-// environment — and leaves Env empty for self-contained kinds.
-func TestSpecOfDescribesEnv(t *testing.T) {
+// TestLeaseDescribesEnv checks a granted lease forwards an EnvDescriber
+// batch's environment — and carries none for self-contained kinds.
+func TestLeaseDescribesEnv(t *testing.T) {
 	env := exp.NewQuickEnv()
 	eb, err := exp.NewBatch([]string{"fig1", "fig2"}, env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := SpecOf(eb)
-	if err != nil {
-		t.Fatal(err)
-	}
+	o := startOneBatch(t, t.Context(), eb, "", false, ServiceConfig{Units: 1})
+	lease := leaseRaw(t, o.srv, "w")
 	var scale exp.Scale
-	if err := json.Unmarshal(spec.Env, &scale); err != nil {
-		t.Fatalf("spec env %s: %v", spec.Env, err)
+	if err := json.Unmarshal(lease.Env, &scale); err != nil {
+		t.Fatalf("lease env %s: %v", lease.Env, err)
 	}
 	if want := exp.ScaleOf(env); scale != want {
-		t.Errorf("spec declares %v, want %v", scale, want)
+		t.Errorf("lease declares %v, want %v", scale, want)
 	}
 
-	if spec, err := SpecOf(toyWorkBatch{}); err != nil || spec.Env != nil {
-		t.Errorf("self-contained kind got env %s (err %v)", spec.Env, err)
+	o = startOneBatch(t, t.Context(), toyBatch{1}, "", false, ServiceConfig{Units: 1})
+	if lease := leaseRaw(t, o.srv, "w"); lease.Unit == nil || lease.Env != nil {
+		t.Errorf("self-contained kind: lease %+v, want a unit with no env", lease)
 	}
 }
 
-// toyWorkBatch is a minimal work.Batch with no EnvDescriber.
-type toyWorkBatch struct{}
+// envToyBatch is a toyBatch that declares a process environment.
+type envToyBatch struct {
+	toyBatch
+	env json.RawMessage
+}
 
-func (toyWorkBatch) Kind() string          { return "toy" }
-func (toyWorkBatch) Len() int              { return 1 }
-func (toyWorkBatch) Hash() (string, error) { return "toyhash", nil }
-func (toyWorkBatch) RunItem(context.Context, int) (json.RawMessage, error) {
-	return json.RawMessage(`{}`), nil
-}
-func (toyWorkBatch) MarshalRange(r sweep.Range) (json.RawMessage, error) {
-	return json.Marshal(r)
-}
+func (b envToyBatch) DescribeEnv() (json.RawMessage, error) { return b.env, nil }
 
 // TestWorkerVerifyEnvHardFails pins the fleet-scale agreement: a worker
-// whose VerifyEnv rejects the coordinator's declared environment exits
-// with that error before executing anything — and without aborting the
-// batch, so a correctly configured peer can still finish the sweep.
+// whose VerifyEnv rejects the batch's declared environment exits with
+// that error before executing anything — and without aborting the batch,
+// so a correctly configured peer can still finish the sweep.
 func TestWorkerVerifyEnvHardFails(t *testing.T) {
-	spec := toySpec(4)
-	spec.Env = json.RawMessage(`{"accesses":1000000,"seed":1,"min_r2":0.97}`)
+	b := envToyBatch{toyBatch{4}, json.RawMessage(`{"accesses":1000000,"seed":1,"min_r2":0.97}`)}
 	ctx := t.Context()
-	c, srv := startCoordinator(t, ctx, spec, Config{Units: 2, LeaseTTL: 200 * time.Millisecond})
-
-	done := make(chan *bytes.Buffer, 1)
-	go func() { done <- drain(c) }()
+	o := startOneBatch(t, ctx, b, "", false, ServiceConfig{Units: 2, LeaseTTL: 200 * time.Millisecond})
+	done := o.drainAsync(t, ctx)
 
 	executed := false
 	bad := &Worker{
-		Coordinator: srv.URL,
+		Coordinator: o.srv.URL,
 		ID:          "misconfigured",
-		Client:      srv.Client(),
+		Client:      o.srv.Client(),
 		Poll:        5 * time.Millisecond,
 		VerifyEnv: func(kind string, env json.RawMessage) error {
 			if kind != "toy" {
@@ -95,9 +84,9 @@ func TestWorkerVerifyEnvHardFails(t *testing.T) {
 	// The batch is not poisoned: a good worker drains it completely once
 	// the misconfigured worker's abandoned lease expires.
 	good := &Worker{
-		Coordinator: srv.URL,
+		Coordinator: o.srv.URL,
 		ID:          "aligned",
-		Client:      srv.Client(),
+		Client:      o.srv.Client(),
 		Poll:        5 * time.Millisecond,
 		VerifyEnv:   func(string, json.RawMessage) error { return nil },
 		Exec:        toyExec(-1),
@@ -107,8 +96,5 @@ func TestWorkerVerifyEnvHardFails(t *testing.T) {
 	}
 	if got := (<-done).String(); got != toyWant(4) {
 		t.Errorf("reassembled output = %q, want %q", got, toyWant(4))
-	}
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -1,9 +1,12 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -35,10 +38,38 @@ const (
 	BatchCancelled BatchState = "cancelled"
 )
 
-// Service metric names — the families a multi-batch service registers
-// beside the shared per-kind unit-execution histogram
-// (MetricUnitExecSeconds).
+// Unit lease lifecycle. A unit never leaves done — results are
+// idempotent — and returns from leased to pending when its lease expires.
 const (
+	unitPending = iota
+	unitLeased
+	unitDone
+)
+
+// Request body caps. Every body is untrusted input: one over its cap is
+// answered 413 before anything is decoded into service state.
+const (
+	// maxControlBody caps lease, heartbeat, and fail bodies — a few
+	// short JSON fields each.
+	maxControlBody = 64 << 10
+	// maxSubmitBody caps a batch submission: its full-range payload.
+	maxSubmitBody = 16 << 20
+	// maxResultBody caps one unit's NDJSON result upload.
+	maxResultBody = 256 << 20
+)
+
+// stragglerMinSamples is how many units must have completed before the
+// straggler heuristic has a baseline worth flagging against.
+const stragglerMinSamples = 3
+
+// Service metric names — the dist_* families Handler exposes at GET
+// /metrics. The gauges are read-time views of service state (evaluated
+// at scrape, no hot-path cost).
+const (
+	// MetricUnitExecSeconds is the per-unit execution-time histogram,
+	// labeled (kind) — the worker-reported exec_ms when present, lease
+	// age otherwise.
+	MetricUnitExecSeconds = "dist_unit_exec_seconds"
 	// MetricQueueDepth gauges batches currently queued or running — with
 	// MetricServiceETA, the autoscaling signal: scale workers up while
 	// either stays high.
@@ -64,25 +95,60 @@ const (
 
 // ServiceConfig tunes a Service.
 type ServiceConfig struct {
-	// Store is the content-addressed result store backing every batch
-	// (required): per-batch journals, the per-item index, and the spec
-	// records a restarted service re-queues from.
+	// Store is the result store backing every batch (required): a
+	// content-addressed directory (store.Open) with per-batch journals,
+	// the per-item index, and the spec records a restarted service
+	// re-queues from — or, for a one-batch run, a single checkpoint
+	// journal (store.OpenJournal).
 	Store *store.Store
-	// Units is the shard count per batch (0 = GOMAXPROCS, capped at the
-	// batch's item count) — Config.Units per admitted batch.
+	// Units is the number of work units each batch splits into
+	// (0 = GOMAXPROCS, capped at the batch's item count). More units than
+	// workers gives finer re-lease granularity when a worker dies; fewer
+	// amortizes per-unit HTTP overhead.
 	Units int
-	// LeaseTTL and RetryAfter mirror Config.
-	LeaseTTL   time.Duration
+	// LeaseTTL is how long a worker may hold a unit without heartbeating
+	// before it is handed to someone else (0 = 30s).
+	LeaseTTL time.Duration
+	// RetryAfter is the backoff hint returned when no unit is free
+	// (0 = 200ms).
 	RetryAfter time.Duration
 	// Metrics is the registry the service's families register into (nil =
 	// private registry); Handler serves it at GET /metrics.
 	Metrics *obs.Registry
-	// Clock is the service's time source (nil = time.Now).
+	// Clock is the service's time source (nil = time.Now): leases,
+	// liveness, throughput, and straggler detection all read it. Tests
+	// inject a fake to pin the derived-status arithmetic.
 	Clock obs.Clock
 	// Logf, when non-nil, receives operational log lines (restores,
 	// admissions, batch completions).
 	Logf func(format string, args ...any)
 }
+
+// workerState is the service's per-worker bookkeeping, keyed by the
+// worker's self-assigned ID.
+type workerState struct {
+	lastSeen  time.Time
+	unitsDone int
+	itemsDone int
+}
+
+// unitState is the service-side lease bookkeeping for one unit.
+type unitState struct {
+	unit     Unit
+	state    int
+	worker   string
+	deadline time.Time
+	leasedAt time.Time // current lease grant; zero while pending/done
+}
+
+// bitset is a per-index flag set over a batch's input indices.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+func (b bitset) set(i int) { b[i/64] |= 1 << (i % 64) }
+
+func (b bitset) has(i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
 
 // batchRun is the in-memory state of one admitted batch.
 type batchRun struct {
@@ -94,7 +160,8 @@ type batchRun struct {
 
 	units     []*unitState
 	lines     [][]byte // per input index; nil once terminal (store has them)
-	done      []uint64 // completed-index bitset, kept after terminal
+	done      bitset   // completed indices, kept after terminal
+	cached    bitset   // indices the store already held at admission
 	doneCount int
 	remaining int
 	unitsDone int
@@ -117,27 +184,13 @@ func (b *batchRun) active() bool { return b.state == BatchQueued || b.state == B
 // terminal is the complement of active.
 func (b *batchRun) terminal() bool { return !b.active() }
 
-// markDone sets index i's completed bit, reporting whether it was new.
-func (b *batchRun) markDone(i int) bool {
-	if b.done[i/64]&(1<<(i%64)) != 0 {
-		return false
-	}
-	b.done[i/64] |= 1 << (i % 64)
-	b.doneCount++
-	return true
-}
-
-// isDone reads index i's completed bit.
-func (b *batchRun) isDone(i int) bool { return b.done[i/64]&(1<<(i%64)) != 0 }
-
-// Service is the multi-batch coordinator: a queue of concurrent batches
-// multiplexed over one worker fleet, backed by a content-addressed result
-// store. Workers run the exact single-batch protocol — units carry a
-// batch ID and workers echo it — so one fleet drains heterogeneous
-// batches with no per-kind (or per-batch) worker code. Batches are
-// leased in submission order: the oldest batch with pending units wins,
-// and later batches start as soon as every earlier unit is at least
-// leased, so the fleet never idles while work exists.
+// Service is the coordinator: a queue of concurrent batches multiplexed
+// over one worker fleet, backed by a result store. Units carry a batch ID
+// and workers echo it, so one fleet drains heterogeneous batches with no
+// per-kind (or per-batch) worker code. Batches are leased in submission
+// order: the oldest batch with pending units wins, and later batches
+// start as soon as every earlier unit is at least leased, so the fleet
+// never idles while work exists.
 //
 // Every completed line lands in the store before it is streamable;
 // admission replays the store first (own journal, then the per-item
@@ -145,6 +198,11 @@ func (b *batchRun) isDone(i int) bool { return b.done[i/64]&(1<<(i%64)) != 0 }
 // batches — executes only the genuinely new items. The served bytes are
 // identical either way, because cached lines are the recorded output of
 // the same deterministic items.
+//
+// A one-batch run (one-shot `sweepd serve`) is a Service over a
+// single-journal store (store.OpenJournal) holding one submitted batch:
+// the caller reads Results to the end, then cancels the service context
+// so leases answer done and the fleet exits.
 type Service struct {
 	store *store.Store
 	units int
@@ -170,10 +228,10 @@ type Service struct {
 	itemsExecuted *obs.Counter
 }
 
-// NewService creates a multi-batch service over a store. The context
-// governs the service's lifetime: cancelling it turns every lease
-// response into done (workers exit) and unblocks result streams.
-// Call Restore to re-queue the store's batches, then serve Handler.
+// NewService creates a service over a store. The context governs the
+// service's lifetime: cancelling it turns every lease response into done
+// (workers exit) and unblocks result streams. Call Restore to re-queue
+// the store's batches, then serve Handler.
 func NewService(ctx context.Context, cfg ServiceConfig) (*Service, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("dist: service needs a store")
@@ -362,7 +420,8 @@ func (s *Service) Submit(b work.Batch) (BatchStatus, bool, error) {
 		hash:          hash,
 		n:             b.Len(),
 		lines:         make([][]byte, b.Len()),
-		done:          make([]uint64, (b.Len()+63)/64),
+		done:          newBitset(b.Len()),
+		cached:        newBitset(b.Len()),
 		remaining:     b.Len(),
 		cachedJournal: h.HitsJournal,
 		cachedIndex:   h.HitsIndex,
@@ -385,7 +444,9 @@ func (s *Service) Submit(b work.Batch) (BatchStatus, bool, error) {
 	sort.Ints(cached)
 	for _, i := range cached {
 		br.lines[i] = h.Done[i]
-		br.markDone(i)
+		br.done.set(i)
+		br.cached.set(i)
+		br.doneCount++
 		br.remaining--
 	}
 	for _, r := range sweep.Shards(b.Len(), s.units) {
@@ -397,7 +458,7 @@ func (s *Service) Submit(b work.Batch) (BatchStatus, bool, error) {
 		u := &unitState{unit: Unit{ID: len(br.units), Range: r, Kind: b.Kind(), Payload: payload, Batch: id}}
 		allDone := true
 		for i := r.Lo; i < r.Hi; i++ {
-			if !br.isDone(i) {
+			if !br.done.has(i) {
 				allDone = false
 				break
 			}
@@ -474,10 +535,9 @@ func (s *Service) Close() error {
 	return s.store.Close()
 }
 
-// Handler returns the service's HTTP API: the worker protocol (shared
-// with the one-shot coordinator, batch-scoped), the batch lifecycle
-// endpoints, the status probe, and the metrics exposition. One handler,
-// one RequireToken gate.
+// Handler returns the service's HTTP API: the worker protocol, the batch
+// lifecycle endpoints, the status probe, and the metrics exposition. One
+// handler, one RequireToken gate.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/lease", s.handleLease)
@@ -492,6 +552,36 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("DELETE /v1/batches/{id}", s.handleCancel)
 	mux.HandleFunc("GET /v1/batches/{id}/results", s.handleResults)
 	return mux
+}
+
+// writeJSON renders one protocol response.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// decodeBody decodes a JSON request body of at most limit bytes into v.
+// On failure it answers the request itself (badBody) and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any, msg string) bool {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v); err != nil {
+		badBody(w, err, msg)
+		return false
+	}
+	return true
+}
+
+// badBody answers a request whose body could not be read or decoded:
+// 413 when it exceeded its cap, 400 with msg otherwise.
+func badBody(w http.ResponseWriter, err error, msg string) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{
+			"error": fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit),
+		})
+		return
+	}
+	writeJSON(w, http.StatusBadRequest, map[string]string{"error": msg})
 }
 
 // shuttingDown reports whether the service context ended.
@@ -518,7 +608,10 @@ func (s *Service) noteWorkerLocked(id string, now time.Time) *workerState {
 
 func (s *Service) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Worker == "" {
+	if !decodeBody(w, r, maxControlBody, &req, "lease request needs a worker id") {
+		return
+	}
+	if req.Worker == "" {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "lease request needs a worker id"})
 		return
 	}
@@ -562,8 +655,7 @@ func (s *Service) handleLease(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req heartbeatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "malformed heartbeat"})
+	if !decodeBody(w, r, maxControlBody, &req, "malformed heartbeat") {
 		return
 	}
 	now := s.clock.Now()
@@ -588,9 +680,13 @@ func (s *Service) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 // handleResult ingests one unit's NDJSON lines, batch-scoped. Results
 // are idempotent per index (first arrival wins) and accepted even from
-// expired leases, like the one-shot coordinator — and even for failed or
-// cancelled batches, where the lines no longer change the batch's fate
-// but are journaled as store cache for the next overlapping submission.
+// expired leases — the work is deterministic, so a late line is as good
+// as the re-leased copy — and even for failed or cancelled batches,
+// where the lines no longer change the batch's fate but are journaled
+// as store cache for the next overlapping submission. The optional
+// exec_ms query parameter carries the worker's measured unit execution
+// time; without it the lease age stands in, so the timing stats degrade
+// rather than vanish against old workers.
 func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	worker := q.Get("worker")
@@ -602,9 +698,9 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	execMS, execErr := strconv.ParseFloat(q.Get("exec_ms"), 64)
 	haveExec := execErr == nil && execMS >= 0
-	body, err := readAll(r)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxResultBody))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		badBody(w, err, fmt.Sprintf("reading result body: %v", err))
 		return
 	}
 	lines := splitNDJSON(body)
@@ -634,25 +730,40 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	stored := 0
+	var appendErr error
 	for k, line := range lines {
 		idx := u.unit.Range.Lo + k
-		if br.isDone(idx) {
-			continue // idempotent: first arrival won
+		if br.done.has(idx) || br.handle == nil {
+			continue // first arrival won, or no journal left to record into
 		}
-		if br.handle == nil {
-			continue // done batch: everything already journaled
-		}
-		if err := s.recordLocked(br, idx, line); err != nil {
-			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-			return
+		if appendErr = s.recordLocked(br, idx, line); appendErr != nil {
+			break
 		}
 		stored++
 	}
 	ws.itemsDone += stored
+	if appendErr != nil {
+		// The store refusing a line is the batch's failure, not the
+		// worker's: a 5xx would make the worker exit, the lease would
+		// expire, and the next worker would recompute the unit and exit
+		// the same way until the fleet drained. Fail the batch loudly and
+		// answer 2xx so the worker leases on.
+		br.handle.Close()
+		br.handle = nil
+		if br.active() {
+			s.finishLocked(br, BatchFailed, appendErr.Error(), now)
+			s.logf("batch %s: failed: %v", br.id, appendErr)
+		}
+		writeJSON(w, http.StatusOK, map[string]bool{"accepted": false})
+		return
+	}
 	if u.state != unitDone {
 		u.state = unitDone
 		br.unitsDone++
 		ws.unitsDone++
+		// One timing observation per completed unit: the worker's own
+		// measurement when reported, its lease age otherwise (a late
+		// result from an expired lease has neither — skip it).
 		switch {
 		case haveExec:
 			s.recordUnitExecLocked(br.kind, execMS)
@@ -670,9 +781,21 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]bool{"accepted": true})
 }
 
+// splitNDJSON splits a result body into its non-empty lines.
+func splitNDJSON(body []byte) [][]byte {
+	var lines [][]byte
+	for _, line := range bytes.Split(body, []byte("\n")) {
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
+		}
+		lines = append(lines, line)
+	}
+	return lines
+}
+
 // recordLocked stores one freshly executed line: journal first (the
 // store is the source of truth a restart replays), then the in-memory
-// state streams read. Callers hold mu and have checked !isDone(idx).
+// state streams read. Callers hold mu and have checked !done.has(idx).
 func (s *Service) recordLocked(br *batchRun, idx int, line []byte) error {
 	if err := br.handle.Record(idx, line); err != nil {
 		return fmt.Errorf("dist: store append failed: %w", err)
@@ -680,7 +803,8 @@ func (s *Service) recordLocked(br *batchRun, idx int, line []byte) error {
 	if br.lines != nil {
 		br.lines[idx] = line
 	}
-	br.markDone(idx)
+	br.done.set(idx)
+	br.doneCount++
 	if br.remaining > 0 {
 		br.remaining--
 	}
@@ -701,8 +825,7 @@ func (s *Service) recordUnitExecLocked(kind string, ms float64) {
 
 func (s *Service) handleFail(w http.ResponseWriter, r *http.Request) {
 	var req failRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "malformed failure report"})
+	if !decodeBody(w, r, maxControlBody, &req, "malformed failure report") {
 		return
 	}
 	now := s.clock.Now()
@@ -727,8 +850,12 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Kind    string          `json:"kind"`
 		Payload json.RawMessage `json:"payload"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Kind == "" || len(req.Payload) == 0 {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": `submission needs {"kind":..., "payload":...}`})
+	const usage = `submission needs {"kind":..., "payload":...}`
+	if !decodeBody(w, r, maxSubmitBody, &req, usage) {
+		return
+	}
+	if req.Kind == "" || len(req.Payload) == 0 {
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": usage})
 		return
 	}
 	b, err := work.Unmarshal(req.Kind, req.Payload)
@@ -761,15 +888,21 @@ func (s *Service) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
+// Batch returns batch id's status row, false when the service does not
+// hold it.
+func (s *Service) Batch(id string) (BatchStatus, bool) {
 	now := s.clock.Now()
 	s.mu.Lock()
-	br, ok := s.byID[r.PathValue("id")]
-	var st BatchStatus
-	if ok {
-		st = s.batchStatusLocked(br, now)
+	defer s.mu.Unlock()
+	br, ok := s.byID[id]
+	if !ok {
+		return BatchStatus{}, false
 	}
-	s.mu.Unlock()
+	return s.batchStatusLocked(br, now), true
+}
+
+func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
+	st, ok := s.Batch(r.PathValue("id"))
 	if !ok {
 		writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown batch"})
 		return
@@ -786,26 +919,45 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// handleResults streams a batch's result lines as input-ordered NDJSON:
-// each line is written as soon as the ordered prefix through it is
-// complete, flushed per line, so a client following a running batch sees
-// results live. For batches whose in-memory lines are gone (terminal),
-// the stream replays the store journal — cached or fresh, the bytes are
-// identical to a sequential run. A failed or cancelled batch's stream
-// ends at its first gap: those indices will never complete.
-func (s *Service) handleResults(w http.ResponseWriter, r *http.Request) {
+// lookup returns the batch with the given ID.
+func (s *Service) lookup(id string) (*batchRun, bool) {
 	s.mu.Lock()
-	br, ok := s.byID[r.PathValue("id")]
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	br, ok := s.byID[id]
+	return br, ok
+}
+
+// Results is the in-process ordered reader of batch id: it calls emit
+// with each result line in input order, as soon as the ordered prefix
+// through it is complete — the reader behind GET
+// /v1/batches/{id}/results and one-shot `sweepd serve`'s stdout. cached
+// marks a line the store already held when the batch was admitted (a
+// resumed checkpoint's, or one adopted from an overlapping batch), so a
+// resumed one-shot run can skip what an earlier run emitted.
+//
+// Results returns nil when the stream ends: every line delivered, or the
+// first gap of a failed or cancelled batch (Batch says which). It returns
+// ctx's error when ctx ends first, errServiceStopped when the service
+// context does, and emit's error unchanged.
+func (s *Service) Results(ctx context.Context, id string, emit func(line []byte, cached bool) error) error {
+	br, ok := s.lookup(id)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown batch"})
-		return
+		return fmt.Errorf("dist: unknown batch %s", id)
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	// Streams park on cond while waiting for the next ordered line; wake
-	// them if the client goes away so they notice and return.
-	stop := context.AfterFunc(r.Context(), s.cond.Broadcast)
+	return s.stream(ctx, br, emit)
+}
+
+// errServiceStopped reports that a result stream ended because the
+// service context did.
+var errServiceStopped = errors.New("dist: service stopped")
+
+// stream is Results over a held batch. While the batch is active it
+// reads the in-memory lines, parking on cond for the next one; once the
+// batch is terminal (its lines dropped), it replays the store journal —
+// cached or fresh, the bytes are identical to a sequential run.
+func (s *Service) stream(ctx context.Context, br *batchRun, emit func(line []byte, cached bool) error) error {
+	// Wake the parked stream if ctx ends so it notices and returns.
+	stop := context.AfterFunc(ctx, s.cond.Broadcast)
 	defer stop()
 
 	var stored map[int]json.RawMessage // store replay, once terminal
@@ -813,9 +965,13 @@ func (s *Service) handleResults(w http.ResponseWriter, r *http.Request) {
 		var line []byte
 		s.mu.Lock()
 		for {
-			if r.Context().Err() != nil || s.shuttingDown() {
+			if err := ctx.Err(); err != nil {
 				s.mu.Unlock()
-				return
+				return err
+			}
+			if s.shuttingDown() {
+				s.mu.Unlock()
+				return errServiceStopped
 			}
 			if br.lines == nil { // terminal: switch to the store journal
 				break
@@ -826,34 +982,56 @@ func (s *Service) handleResults(w http.ResponseWriter, r *http.Request) {
 			}
 			s.cond.Wait()
 		}
+		cached := br.cached.has(i)
 		s.mu.Unlock()
 		if line == nil {
 			if stored == nil {
 				_, lines, err := s.store.Replay(br.id)
 				if err != nil {
-					return // mid-stream; nothing safe left to say
+					return err
 				}
 				stored = lines
 			}
 			l, ok := stored[i]
 			if !ok {
-				return // terminal gap: this index will never complete
+				return nil // terminal gap: this index will never complete
 			}
 			line = l
 		}
+		if err := emit(line, cached); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// handleResults streams a batch's result lines as input-ordered NDJSON,
+// flushed per line, so a client following a running batch sees results
+// live. A failed or cancelled batch's stream ends at its first gap.
+func (s *Service) handleResults(w http.ResponseWriter, r *http.Request) {
+	br, ok := s.lookup(r.PathValue("id"))
+	if !ok {
+		writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown batch"})
+		return
+	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	flusher, _ := w.(http.Flusher)
+	// Mid-stream errors leave nothing safe to say: the stream just ends.
+	_ = s.stream(r.Context(), br, func(line []byte, _ bool) error {
 		// Two writes, not append(line, '\n'): the line may share backing
 		// storage with other lines (result-body subslices), and appending
 		// in place would be a write into shared memory.
 		if _, err := w.Write(line); err != nil {
-			return
+			return err
 		}
 		if _, err := w.Write([]byte{'\n'}); err != nil {
-			return
+			return err
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
-	}
+		return nil
+	})
 }
 
 func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -898,28 +1076,34 @@ type StoreStatus struct {
 	ItemsExecuted uint64 `json:"items_executed"`
 }
 
-// ServiceStatus is the GET /v1/status snapshot of a multi-batch service:
-// the queue, every batch's progress, fleet liveness, and store
+// ServiceStatus is the GET /v1/status snapshot: the queue, every
+// batch's progress, fleet liveness, in-flight units, and store
 // attribution. QueueDepth and ETAMS together are the autoscaling signal
 // — scale the fleet up while either stays high, down when both sit at
 // zero.
 type ServiceStatus struct {
-	// Service discriminates the multi-batch snapshot from the one-shot
-	// coordinator's Status (always true).
-	Service    bool `json:"service"`
-	QueueDepth int  `json:"queue_depth"`
+	QueueDepth int `json:"queue_depth"`
 	// ElapsedMS is the wall time since the service started; ItemsPerSec
-	// the fleet-wide executed-item completion rate; ETAMS extrapolates
-	// that rate over every active batch's remaining items.
+	// the fleet-wide completion rate of executed items (store-satisfied
+	// items are excluded — a resumed run reports the rate of what it
+	// actually ran); ETAMS extrapolates that rate over every active
+	// batch's remaining items, omitted while no rate is observable or
+	// nothing remains.
 	ElapsedMS   int64   `json:"elapsed_ms"`
 	ItemsPerSec float64 `json:"items_per_sec"`
 	ETAMS       int64   `json:"eta_ms,omitempty"`
 	// UnitMeanMS is the mean execution time of completed units across
-	// batches — the straggler baseline.
-	UnitMeanMS float64        `json:"unit_mean_ms,omitempty"`
-	Batches    []BatchStatus  `json:"batches"`
-	Workers    []WorkerStatus `json:"workers,omitempty"`
-	Store      StoreStatus    `json:"store"`
+	// batches — the baseline the straggler flag compares lease ages
+	// against.
+	UnitMeanMS float64       `json:"unit_mean_ms,omitempty"`
+	Batches    []BatchStatus `json:"batches"`
+	// Workers lists every worker that ever contacted the service, sorted
+	// by ID.
+	Workers []WorkerStatus `json:"workers,omitempty"`
+	// InFlight lists the units out on a live lease, in batch submission
+	// order and unit order within a batch.
+	InFlight []UnitStatus `json:"in_flight,omitempty"`
+	Store    StoreStatus  `json:"store"`
 }
 
 // Status assembles the service snapshot — exported so the serving
@@ -929,7 +1113,6 @@ func (s *Service) Status() ServiceStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := ServiceStatus{
-		Service:   true,
 		ElapsedMS: now.Sub(s.start).Milliseconds(),
 		Batches:   make([]BatchStatus, 0, len(s.order)),
 		Store: StoreStatus{
@@ -942,11 +1125,28 @@ func (s *Service) Status() ServiceStatus {
 	}
 	st.ItemsPerSec = s.rateLocked(now)
 	remaining := 0
+	currentUnit := make(map[string]int)
 	for _, br := range s.order {
 		st.Batches = append(st.Batches, s.batchStatusLocked(br, now))
 		if br.active() {
 			st.QueueDepth++
 			remaining += br.remaining
+		}
+		for _, u := range br.units {
+			if u.state != unitLeased || now.After(u.deadline) {
+				continue
+			}
+			currentUnit[u.worker] = u.unit.ID
+			age := now.Sub(u.leasedAt).Milliseconds()
+			st.InFlight = append(st.InFlight, UnitStatus{
+				Batch:      br.id,
+				ID:         u.unit.ID,
+				Worker:     u.worker,
+				Items:      u.unit.Range.Len(),
+				LeaseAgeMS: age,
+				Straggler: s.execCount >= stragglerMinSamples &&
+					float64(age) > 2*s.execSumMS/float64(s.execCount),
+			})
 		}
 	}
 	if st.ItemsPerSec > 0 && remaining > 0 {
@@ -962,13 +1162,17 @@ func (s *Service) Status() ServiceStatus {
 	sort.Strings(ids)
 	for _, id := range ids {
 		ws := s.workers[id]
-		st.Workers = append(st.Workers, WorkerStatus{
+		row := WorkerStatus{
 			ID:         id,
 			UnitsDone:  ws.unitsDone,
 			ItemsDone:  ws.itemsDone,
 			LastSeenMS: now.Sub(ws.lastSeen).Milliseconds(),
 			Live:       now.Sub(ws.lastSeen) <= s.ttl,
-		})
+		}
+		if unit, ok := currentUnit[id]; ok {
+			row.CurrentUnit = &unit
+		}
+		st.Workers = append(st.Workers, row)
 	}
 	return st
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -405,8 +406,7 @@ func TestServiceFailureIsolatesBatch(t *testing.T) {
 	wg.Wait()
 }
 
-// TestServiceStatusAndMetrics pins the observable surface: the service
-// status discriminator, queue depth, store attribution, and the metric
+// TestServiceStatusAndMetrics pins the observable surface: queue depth, store attribution, and the metric
 // families the operations doc catalogues.
 func TestServiceStatusAndMetrics(t *testing.T) {
 	b := testBatch(t, 3)
@@ -425,8 +425,8 @@ func TestServiceStatusAndMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if !status.Service || status.QueueDepth != 1 || len(status.Batches) != 1 {
-		t.Fatalf("status = %+v, want service=true queue_depth=1 with 1 batch", status)
+	if status.QueueDepth != 1 || len(status.Batches) != 1 {
+		t.Fatalf("status = %+v, want queue_depth=1 with 1 batch", status)
 	}
 	if status.Batches[0].State != BatchQueued {
 		t.Fatalf("batch state %s, want queued", status.Batches[0].State)
@@ -471,4 +471,80 @@ func TestServiceStatusAndMetrics(t *testing.T) {
 	}
 	cancel()
 	wg.Wait()
+}
+
+// TestServiceStoreAppendFailureFailsBatch pins that a store refusing a
+// result line fails that batch — with the append error in its status —
+// instead of draining the fleet: the worker's report is answered 2xx, so
+// the same worker keeps leasing and finishes the other batch.
+func TestServiceStoreAppendFailureFailsBatch(t *testing.T) {
+	ctx, cancel := context.WithCancel(t.Context())
+	defer cancel()
+	s, srv := startService(t, ctx, t.TempDir(), ServiceConfig{Units: 2})
+	broken, _, err := s.Submit(toyBatch{4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthy, _, err := s.Submit(toyBatch{3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Close the first batch's journal under the service: every append
+	// into it now fails, as on a full or vanished disk.
+	s.mu.Lock()
+	s.byID[broken.ID].handle.Close()
+	s.mu.Unlock()
+
+	w := &Worker{Coordinator: srv.URL, ID: "w0", Exec: toyExec(-1), Client: srv.Client(), Poll: 5 * time.Millisecond}
+	werr := make(chan error, 1)
+	go func() { werr <- w.Run(ctx) }()
+
+	fin := waitBatchState(t, s, broken.ID, BatchFailed)
+	if !strings.Contains(fin.Error, "store append failed") {
+		t.Errorf("failed batch error %q does not carry the append error", fin.Error)
+	}
+	waitBatchState(t, s, healthy.ID, BatchDone)
+	if got := string(resultsHTTP(t, srv, healthy.ID)); got != toyWant(3) {
+		t.Errorf("healthy batch output %q", got)
+	}
+	select {
+	case err := <-werr:
+		t.Fatalf("worker exited over the append failure: %v", err)
+	default:
+	}
+	cancel()
+	if err := <-werr; err != nil && !errors.Is(err, context.Canceled) {
+		t.Fatalf("worker: %v", err)
+	}
+}
+
+// TestOversizedBodiesRejected pins the request caps: a lease, heartbeat,
+// fail, or submission body over its limit is answered 413 before any of
+// it reaches service state — an oversized lease registers no worker.
+func TestOversizedBodiesRejected(t *testing.T) {
+	o := startOneBatch(t, t.Context(), toyBatch{2}, "", false, ServiceConfig{Units: 1})
+	huge := strings.Repeat("a", maxControlBody)
+	for _, path := range []string{"/v1/lease", "/v1/heartbeat", "/v1/fail"} {
+		resp, err := o.srv.Client().Post(o.srv.URL+path, "application/json",
+			strings.NewReader(`{"worker":"`+huge+`"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte body: status %d, want 413", path, len(huge), resp.StatusCode)
+		}
+	}
+	resp, err := o.srv.Client().Post(o.srv.URL+"/v1/batches", "application/json",
+		io.MultiReader(strings.NewReader(`{"kind":"toy","payload":"`), strings.NewReader(strings.Repeat("a", maxSubmitBody)), strings.NewReader(`"}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized submission: status %d, want 413", resp.StatusCode)
+	}
+	if st := o.svc.Status(); len(st.Workers) != 0 || st.Batches[0].State != BatchQueued {
+		t.Errorf("oversized requests reached service state: %+v", st)
+	}
 }

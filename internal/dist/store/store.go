@@ -19,6 +19,10 @@
 //	                          that lets a new batch adopt lines computed for
 //	                          an overlapping earlier batch of any kind
 //
+// OpenJournal opens the degenerate store behind a one-batch service: a
+// single journal file (a `-checkpoint` path) and nothing else — no spec
+// records, no item index.
+//
 // Because per-batch journals are ordinary checkpoint journals, a
 // single-process `-checkpoint` file copied into the store under its
 // batch's name is adopted wholesale (hash-verified on admission), and a
@@ -90,6 +94,12 @@ type itemRef struct {
 type Store struct {
 	dir string
 
+	// single, when set, is the only journal of a one-batch store
+	// (OpenJournal); resume says whether admission replays it or
+	// truncates it.
+	single string
+	resume bool
+
 	mu    sync.Mutex
 	idx   *os.File           // items.idx, positioned for appending
 	items map[string]itemRef // item key -> first recorded location
@@ -113,6 +123,15 @@ func Open(dir string) (*Store, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// OpenJournal opens a one-batch store whose only journal is the file at
+// path: Admit resumes it when resume is set (hash-verified, so a journal
+// of another batch is refused) and truncates it otherwise. The store
+// writes no spec record and no item index, so nothing outside path is
+// touched, and it admits exactly one batch.
+func OpenJournal(path string, resume bool) *Store {
+	return &Store{single: path, resume: resume}
 }
 
 // Dir is the store's directory path.
@@ -200,9 +219,23 @@ func (s *Store) Admit(b work.Batch) (*Handle, error) {
 		Header: journal.Header{Kind: b.Kind(), BatchSHA256: hash, N: b.Len()},
 		s:      s,
 	}
-	h.keyer, _ = b.(work.ItemKeyer)
+	resume := true
+	if s.single != "" {
+		// The one admission takes sequence 1; a later one is refused
+		// before journal.Open could truncate the journal it holds.
+		s.mu.Lock()
+		taken := s.seq > 0
+		s.seq = 1
+		s.mu.Unlock()
+		if taken {
+			return nil, fmt.Errorf("store: %s already holds a batch", s.single)
+		}
+		resume = s.resume
+	} else {
+		h.keyer, _ = b.(work.ItemKeyer)
+	}
 
-	jr, done, err := journal.Open(s.journalPath(h.ID), h.Header, true)
+	jr, done, err := journal.Open(s.journalPath(h.ID), h.Header, resume)
 	if err != nil {
 		return nil, fmt.Errorf("store: admitting %s: %w", h.ID, err)
 	}
@@ -218,7 +251,7 @@ func (s *Store) Admit(b work.Batch) (*Handle, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, known := s.recs[h.ID]; !known {
+	if _, known := s.recs[h.ID]; !known && s.single == "" {
 		// First admission: persist the spec record and index whatever the
 		// journal already held (an adopted checkpoint's lines are not in
 		// items.idx yet — this pass is what makes them shareable).
@@ -356,6 +389,9 @@ func (s *Store) indexItemLocked(h *Handle, i int) error {
 
 // journalPath is the journal file of batch id.
 func (s *Store) journalPath(id string) string {
+	if s.single != "" {
+		return s.single
+	}
 	return filepath.Join(s.dir, id+".journal")
 }
 

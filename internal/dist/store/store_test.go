@@ -350,3 +350,63 @@ func TestWrongHashJournalRefused(t *testing.T) {
 		t.Fatalf("admission of mismatched journal: err = %v, want hash mismatch", err)
 	}
 }
+
+// TestOpenJournalSingleBatch pins the one-batch store behind one-shot
+// serve: its only file is the given journal (no spec record, no item
+// index), resume replays it hash-verified, a fresh open truncates it,
+// and a second batch is refused.
+func TestOpenJournalSingleBatch(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.journal")
+	b := tinyBatch(t, "a", "b")
+
+	s := OpenJournal(path, false)
+	h, err := s.Admit(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, err := b.RunItem(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Record(0, line); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Admit(tinyBatch(t, "other")); err == nil || !strings.Contains(err.Error(), "already holds a batch") {
+		t.Fatalf("second batch: err = %v, want refusal", err)
+	}
+	h.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 || entries[0].Name() != "run.journal" {
+		t.Fatalf("one-batch store wrote %v, want only run.journal", entries)
+	}
+	_, lines, err := s.Replay(h.ID)
+	if err != nil || len(lines) != 1 {
+		t.Fatalf("replay: %d lines, err %v; want 1", len(lines), err)
+	}
+
+	// Resume replays the recorded line; another batch's resume is refused.
+	h, err = OpenJournal(path, true).Admit(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Close()
+	if h.HitsJournal != 1 || string(h.Done[0]) != string(line) {
+		t.Fatalf("resume: journal hits %d, line %s", h.HitsJournal, h.Done[0])
+	}
+	if _, err := OpenJournal(path, true).Admit(tinyBatch(t, "other")); err == nil || !strings.Contains(err.Error(), "hash mismatch") {
+		t.Fatalf("resume against another batch: err = %v, want hash mismatch", err)
+	}
+
+	// Without resume the journal starts over.
+	h, err = OpenJournal(path, false).Admit(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Close()
+	if len(h.Done) != 0 {
+		t.Fatalf("fresh open kept %d lines", len(h.Done))
+	}
+}

@@ -1,8 +1,8 @@
 // Package docs renders docs/wire-protocol.md from live protocol
 // fixtures: every example request and response in that file is captured
-// from a real coordinator and a real multi-batch service — the same
-// handlers cmd/sweepd serves — executed in-process against the
-// repository's reference scenario fixtures under a fixed clock. The
+// from a real dist.Service — the handler cmd/sweepd serves in both of
+// its modes — executed in-process against the repository's reference
+// scenario fixtures under a fixed clock. The
 // golden test (TestWireProtocolDoc) fails whenever the captured
 // exchanges stop matching the committed file, so the documentation
 // cannot drift from the implementation; `make docs` regenerates it.
@@ -32,7 +32,7 @@ import (
 // file byte-stable across regenerations.
 var docEpoch = time.Unix(1700000000, 0).UTC()
 
-// docClock is the injected time source for every fixture coordinator.
+// docClock is the injected time source of the fixture service.
 func docClock() time.Time { return docEpoch }
 
 // fixtureBatch is the two-scenario workload the examples run: small
@@ -43,15 +43,22 @@ const fixtureBatch = `{"scenarios":[
 	{"name":"large","l1_kb":32,"l2_kb":512,"workload":"tpcc","accesses":20000}
 ]}`
 
-// fixtureExtra is a second, distinct batch used to demonstrate
-// cancellation.
-const fixtureExtra = `{"scenarios":[
+// fixtureDoomed and fixtureCancelled are further distinct batches, used
+// to demonstrate a failure report and a cancellation; neither executes.
+const (
+	fixtureDoomed = `{"scenarios":[
 	{"name":"doomed","l1_kb":16,"l2_kb":512,"workload":"tpcc","accesses":20000}
 ]}`
+	fixtureCancelled = `{"scenarios":[
+	{"name":"cancelled","l1_kb":32,"l2_kb":256,"workload":"tpcc","accesses":20000}
+]}`
+)
 
 // exchange is one captured request/response pair plus the prose that
-// introduces it in the rendered document.
+// introduces it in the rendered document; section, when set, opens a new
+// top-level section before it.
 type exchange struct {
+	section string
 	heading string
 	prose   string
 	method  string
@@ -62,125 +69,46 @@ type exchange struct {
 }
 
 // WireProtocol renders the complete wire-protocol document. storeDir is
-// a scratch directory for the service fixtures' result store (the
+// a scratch directory for the fixture service's result store (the
 // caller's t.TempDir()); nothing under it appears in the output.
 func WireProtocol(ctx context.Context, storeDir string) ([]byte, error) {
+	exchanges, err := capture(ctx, storeDir)
+	if err != nil {
+		return nil, fmt.Errorf("docs: fixtures: %w", err)
+	}
 	var doc bytes.Buffer
 	doc.WriteString(header)
-
-	oneShot, err := captureOneShot(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("docs: one-shot fixtures: %w", err)
-	}
-	doc.WriteString(oneShotIntro)
-	for _, e := range oneShot {
+	for _, e := range exchanges {
+		doc.WriteString(e.section)
 		if err := renderExchange(&doc, e); err != nil {
 			return nil, err
 		}
 	}
-
-	service, err := captureService(ctx, storeDir)
-	if err != nil {
-		return nil, fmt.Errorf("docs: service fixtures: %w", err)
-	}
-	doc.WriteString(serviceIntro)
-	for _, e := range service {
-		if err := renderExchange(&doc, e); err != nil {
-			return nil, err
-		}
-	}
-
 	doc.WriteString(footer)
 	return doc.Bytes(), nil
 }
 
-// captureOneShot drives the single-batch coordinator protocol end to
-// end and records the documented exchanges.
-func captureOneShot(ctx context.Context) ([]exchange, error) {
-	b, err := scenario.LoadBatch(strings.NewReader(fixtureBatch))
+// submitBody renders a batch document as a POST /v1/batches body.
+func submitBody(doc string) (scenario.Batch, []byte, error) {
+	b, err := scenario.LoadBatch(strings.NewReader(doc))
 	if err != nil {
-		return nil, err
+		return b, nil, err
 	}
-	spec, err := dist.SpecOf(b)
+	payload, err := b.MarshalRange(sweep.Range{Lo: 0, Hi: b.Len()})
 	if err != nil {
-		return nil, err
+		return b, nil, err
 	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	c, err := dist.New(cctx, spec, dist.Config{Units: 2, LeaseTTL: time.Minute, Clock: obs.Clock(docClock)})
-	if err != nil {
-		return nil, err
-	}
-	srv := httptest.NewServer(c.Handler())
-	defer srv.Close()
-
-	var out []exchange
-	cap := func(heading, prose, method, path, contentType string, body []byte) ([]byte, error) {
-		status, resp, err := roundTrip(ctx, srv, method, path, contentType, "", body)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, exchange{heading: heading, prose: prose, method: method,
-			path: path, reqBody: body, status: status, resp: resp})
-		return resp, nil
-	}
-
-	if _, err := cap("Lease a unit", leaseProse,
-		http.MethodPost, "/v1/lease", "application/json",
-		[]byte(`{"worker":"w1"}`)); err != nil {
-		return nil, err
-	}
-	if _, err := cap("Heartbeat", heartbeatProse,
-		http.MethodPost, "/v1/heartbeat", "application/json",
-		[]byte(`{"worker":"w1","unit":0}`)); err != nil {
-		return nil, err
-	}
-	line0, err := b.RunItem(ctx, 0)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := cap("Report a unit's results", resultProse,
-		http.MethodPost, "/v1/result?worker=w1&unit=0&exec_ms=12", "application/x-ndjson",
-		append(append([]byte{}, line0...), '\n')); err != nil {
-		return nil, err
-	}
-	if _, err := cap("Report a deterministic failure", failProse,
-		http.MethodPost, "/v1/fail", "application/json",
-		[]byte(`{"worker":"w1","unit":1,"error":"example: trace generator refused the workload"}`)); err != nil {
-		return nil, err
-	}
-	if _, err := cap("Operator status probe", statusProse,
-		http.MethodGet, "/v1/status", "", nil); err != nil {
-		return nil, err
-	}
-
-	// A token-gated front: the same handler behind RequireToken answers
-	// 401 to anything without the bearer secret.
-	gated := httptest.NewServer(dist.RequireToken("s3cret", c.Handler()))
-	defer gated.Close()
-	status, resp, err := roundTrip(ctx, gated, http.MethodGet, "/v1/status", "", "", nil)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, exchange{heading: "Authentication", prose: tokenProse,
-		method: http.MethodGet, path: "/v1/status", status: status, resp: resp})
-
-	// The batch failed above (unit 1), so the coordinator emits what it
-	// has and Wait reports the failure; the doc only needed the captures.
-	cancel()
-	for range c.Results() {
-	}
-	_ = c.Wait()
-	return out, nil
+	body, err := json.Marshal(map[string]json.RawMessage{
+		"kind":    json.RawMessage(fmt.Sprintf("%q", b.Kind())),
+		"payload": payload,
+	})
+	return b, body, err
 }
 
-// captureService drives the multi-batch service API end to end and
+// capture drives one service through the whole protocol — submission,
+// the worker exchanges, the batch lifecycle, authentication — and
 // records the documented exchanges.
-func captureService(ctx context.Context, storeDir string) ([]exchange, error) {
-	b, err := scenario.LoadBatch(strings.NewReader(fixtureBatch))
-	if err != nil {
-		return nil, err
-	}
+func capture(ctx context.Context, storeDir string) ([]exchange, error) {
 	st, err := store.Open(storeDir)
 	if err != nil {
 		return nil, err
@@ -198,29 +126,38 @@ func captureService(ctx context.Context, storeDir string) ([]exchange, error) {
 	defer srv.Close()
 
 	var out []exchange
+	section := ""
 	cap := func(heading, prose, method, path, contentType string, body []byte) ([]byte, error) {
 		status, resp, err := roundTrip(ctx, srv, method, path, contentType, "", body)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, exchange{heading: heading, prose: prose, method: method,
+		out = append(out, exchange{section: section, heading: heading, prose: prose, method: method,
 			path: path, reqBody: body, status: status, resp: resp})
+		section = ""
 		return resp, nil
 	}
+	// submit posts a batch without documenting the exchange.
+	submit := func(doc string) (string, error) {
+		_, body, err := submitBody(doc)
+		if err != nil {
+			return "", err
+		}
+		_, resp, err := roundTrip(ctx, srv, http.MethodPost, "/v1/batches", "application/json", "", body)
+		if err != nil {
+			return "", err
+		}
+		var stat dist.BatchStatus
+		return stat.ID, json.Unmarshal(resp, &stat)
+	}
 
-	payload, err := b.MarshalRange(sweep.Range{Lo: 0, Hi: b.Len()})
+	b, body, err := submitBody(fixtureBatch)
 	if err != nil {
 		return nil, err
 	}
-	submitBody, err := json.Marshal(map[string]json.RawMessage{
-		"kind":    json.RawMessage(fmt.Sprintf("%q", b.Kind())),
-		"payload": payload,
-	})
-	if err != nil {
-		return nil, err
-	}
+	section = submitIntro
 	resp, err := cap("Submit a batch", submitProse,
-		http.MethodPost, "/v1/batches", "application/json", submitBody)
+		http.MethodPost, "/v1/batches", "application/json", body)
 	if err != nil {
 		return nil, err
 	}
@@ -230,9 +167,19 @@ func captureService(ctx context.Context, storeDir string) ([]exchange, error) {
 	}
 	id := stat.ID
 
-	if _, err := cap("Lease against the service", serviceLeaseProse,
+	section = workerIntro
+	if _, err := cap("Lease a unit", leaseProse,
 		http.MethodPost, "/v1/lease", "application/json",
 		[]byte(`{"worker":"w1"}`)); err != nil {
+		return nil, err
+	}
+	if _, err := cap("Heartbeat", heartbeatProse,
+		http.MethodPost, "/v1/heartbeat", "application/json",
+		[]byte(`{"worker":"w1","unit":0,"batch":"`+id+`"}`)); err != nil {
+		return nil, err
+	}
+	if _, err := cap("Operator status probe", statusProse,
+		http.MethodGet, "/v1/status", "", nil); err != nil {
 		return nil, err
 	}
 	var lines []byte
@@ -243,11 +190,26 @@ func captureService(ctx context.Context, storeDir string) ([]exchange, error) {
 		}
 		lines = append(append(lines, line...), '\n')
 	}
-	if _, err := cap("Report against the service", serviceResultProse,
-		http.MethodPost, "/v1/result?worker=w1&unit=0&exec_ms=9&batch="+id, "application/x-ndjson",
+	if _, err := cap("Report a unit's results", resultProse,
+		http.MethodPost, "/v1/result?worker=w1&unit=0&exec_ms=12&batch="+id, "application/x-ndjson",
 		lines); err != nil {
 		return nil, err
 	}
+	// A second batch whose only unit w2 leases and reports as failed.
+	doomed, err := submit(fixtureDoomed)
+	if err != nil {
+		return nil, err
+	}
+	if _, _, err := roundTrip(ctx, srv, http.MethodPost, "/v1/lease", "application/json", "", []byte(`{"worker":"w2"}`)); err != nil {
+		return nil, err
+	}
+	if _, err := cap("Report a deterministic failure", failProse,
+		http.MethodPost, "/v1/fail", "application/json",
+		[]byte(`{"worker":"w2","unit":0,"batch":"`+doomed+`","error":"example: trace generator refused the workload"}`)); err != nil {
+		return nil, err
+	}
+
+	section = lifecycleIntro
 	if _, err := cap("Poll one batch", batchStatusProse,
 		http.MethodGet, "/v1/batches/"+id, "", nil); err != nil {
 		return nil, err
@@ -257,36 +219,15 @@ func captureService(ctx context.Context, storeDir string) ([]exchange, error) {
 		return nil, err
 	}
 	if _, err := cap("Resubmit the identical batch", resubmitProse,
-		http.MethodPost, "/v1/batches", "application/json", submitBody); err != nil {
+		http.MethodPost, "/v1/batches", "application/json", body); err != nil {
 		return nil, err
 	}
-
-	// A second batch, submitted and immediately cancelled.
-	b2, err := scenario.LoadBatch(strings.NewReader(fixtureExtra))
+	cancelled, err := submit(fixtureCancelled)
 	if err != nil {
-		return nil, err
-	}
-	payload2, err := b2.MarshalRange(sweep.Range{Lo: 0, Hi: b2.Len()})
-	if err != nil {
-		return nil, err
-	}
-	submitBody2, err := json.Marshal(map[string]json.RawMessage{
-		"kind":    json.RawMessage(fmt.Sprintf("%q", b2.Kind())),
-		"payload": payload2,
-	})
-	if err != nil {
-		return nil, err
-	}
-	_, body2, err := roundTrip(ctx, srv, http.MethodPost, "/v1/batches", "application/json", "", submitBody2)
-	if err != nil {
-		return nil, err
-	}
-	var stat2 dist.BatchStatus
-	if err := json.Unmarshal(body2, &stat2); err != nil {
 		return nil, err
 	}
 	if _, err := cap("Cancel a batch", cancelProse,
-		http.MethodDelete, "/v1/batches/"+stat2.ID, "", nil); err != nil {
+		http.MethodDelete, "/v1/batches/"+cancelled, "", nil); err != nil {
 		return nil, err
 	}
 	if _, err := cap("List the queue", listProse,
@@ -297,6 +238,17 @@ func captureService(ctx context.Context, storeDir string) ([]exchange, error) {
 		http.MethodGet, "/v1/status", "", nil); err != nil {
 		return nil, err
 	}
+
+	// A token-gated front: the same handler behind RequireToken answers
+	// 401 to anything without the bearer secret.
+	gated := httptest.NewServer(dist.RequireToken("s3cret", svc.Handler()))
+	defer gated.Close()
+	status, resp, err := roundTrip(ctx, gated, http.MethodGet, "/v1/status", "", "", nil)
+	if err != nil {
+		return nil, err
+	}
+	out = append(out, exchange{section: accessIntro, heading: "Authentication", prose: tokenProse,
+		method: http.MethodGet, path: "/v1/status", status: status, resp: resp})
 	return out, nil
 }
 

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/dist/store"
 	"repro/internal/profile"
 	"repro/internal/work"
 )
@@ -372,30 +374,28 @@ func refineDistributed(t *testing.T, doc string) []byte {
 	return out.Bytes()
 }
 
-// distributeBatch runs one batch through an in-process coordinator with
-// two registry-executor workers and returns its lines in input order.
+// distributeBatch runs one batch the way one-shot `sweepd serve` does —
+// a service holding it over a single-journal store and two
+// registry-executor workers — and returns its lines in input order.
 func distributeBatch(t *testing.T, b work.Batch) []json.RawMessage {
 	t.Helper()
-	spec, err := dist.SpecOf(b)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := t.Context()
-	c, err := dist.New(ctx, spec, dist.Config{Units: 3, LeaseTTL: time.Minute})
+	svcCtx, stop := context.WithCancel(ctx)
+	defer stop()
+	svc, err := dist.NewService(svcCtx, dist.ServiceConfig{
+		Store: store.OpenJournal(filepath.Join(t.TempDir(), "refine.journal"), false),
+		Units: 3, LeaseTTL: time.Minute, RetryAfter: 5 * time.Millisecond,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(c.Handler())
+	defer svc.Close()
+	st, _, err := svc.Submit(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
-
-	collected := make(chan []json.RawMessage, 1)
-	go func() {
-		var lines []json.RawMessage
-		for line := range c.Results() {
-			lines = append(lines, line)
-		}
-		collected <- lines
-	}()
 
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
@@ -413,15 +413,23 @@ func distributeBatch(t *testing.T, b work.Batch) []json.RawMessage {
 			errs[i] = w.Run(ctx)
 		}(i)
 	}
+	var lines []json.RawMessage
+	err = svc.Results(ctx, st.ID, func(line []byte, _ bool) error {
+		lines = append(lines, line)
+		return nil
+	})
+	stop() // the batch is terminal: leases now answer done
 	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("worker %d: %v", i, err)
 		}
 	}
-	lines := <-collected
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
+	if final, _ := svc.Batch(st.ID); final.State != dist.BatchDone {
+		t.Fatalf("distributed batch ended %s: %s", final.State, final.Error)
 	}
 	return lines
 }

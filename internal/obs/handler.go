@@ -8,6 +8,7 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // Handler serves the registry in the Prometheus text exposition format
@@ -124,6 +125,11 @@ func DebugHandler(r *Registry) http.Handler {
 	return mux
 }
 
+// readHeaderTimeout bounds how long a client of the debug listener may
+// take to send request headers, so stalled connections cannot pin server
+// goroutines.
+const readHeaderTimeout = 10 * time.Second
+
 // Serve binds addr (":0" picks a free port) and serves DebugHandler(r) in
 // a background goroutine. It returns the bound address and a stop
 // function that closes the listener and its connections — the `-metrics-addr`
@@ -133,7 +139,7 @@ func Serve(addr string, r *Registry) (string, func(), error) {
 	if err != nil {
 		return "", nil, fmt.Errorf("obs: listening on %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: DebugHandler(r)}
+	srv := &http.Server{Handler: DebugHandler(r), ReadHeaderTimeout: readHeaderTimeout}
 	go func() { _ = srv.Serve(ln) }()
 	stop := func() { _ = srv.Close() }
 	return ln.Addr().String(), stop, nil

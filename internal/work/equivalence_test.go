@@ -9,6 +9,7 @@ package work_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -19,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/dist/store"
 	"repro/internal/exp"
 	"repro/internal/grid"
 	"repro/internal/obs"
@@ -256,31 +258,29 @@ func checkpointResumed(t *testing.T, b work.Batch) []byte {
 	return append(prefix, resumed.Bytes()...)
 }
 
-// distributed runs the batch through an in-process coordinator with two
-// registry-executor workers and returns the reassembled emission.
+// distributed runs the batch the way one-shot `sweepd serve` does — a
+// service holding it over a single-journal store, two registry-executor
+// workers, the service's in-process ordered reader — and returns the
+// reassembled emission.
 func distributed(t *testing.T, b work.Batch) []byte {
 	t.Helper()
-	spec, err := dist.SpecOf(b)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := t.Context()
-	c, err := dist.New(ctx, spec, dist.Config{Units: 3, LeaseTTL: time.Minute})
+	svcCtx, stop := context.WithCancel(ctx)
+	defer stop()
+	svc, err := dist.NewService(svcCtx, dist.ServiceConfig{
+		Store: store.OpenJournal(filepath.Join(t.TempDir(), "dist.journal"), false),
+		Units: 3, LeaseTTL: time.Minute, RetryAfter: 5 * time.Millisecond,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(c.Handler())
+	defer svc.Close()
+	st, _, err := svc.Submit(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
-
-	out := make(chan []byte, 1)
-	go func() {
-		var buf bytes.Buffer
-		for line := range c.Results() {
-			buf.Write(line)
-			buf.WriteByte('\n')
-		}
-		out <- buf.Bytes()
-	}()
 
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
@@ -298,15 +298,24 @@ func distributed(t *testing.T, b work.Batch) []byte {
 			errs[i] = w.Run(ctx)
 		}(i)
 	}
+	var got bytes.Buffer
+	err = svc.Results(ctx, st.ID, func(line []byte, _ bool) error {
+		got.Write(line)
+		got.WriteByte('\n')
+		return nil
+	})
+	stop() // the batch is terminal: leases now answer done
 	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("worker %d: %v", i, err)
 		}
 	}
-	got := <-out
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
+	if final, _ := svc.Batch(st.ID); final.State != dist.BatchDone {
+		t.Fatalf("distributed batch ended %s: %s", final.State, final.Error)
 	}
-	return got
+	return got.Bytes()
 }
