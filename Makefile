@@ -9,8 +9,8 @@ GO ?= go
 # The perf-snapshot file for the current PR and the packages it records.
 # Bump SNAPSHOT per PR (BENCH_7.json, ...) so the repo keeps the
 # trajectory instead of overwriting it.
-SNAPSHOT ?= BENCH_8.json
-SNAPSHOT_PKGS = ./internal/sweep ./internal/work ./internal/profile ./internal/grid ./internal/obs
+SNAPSHOT ?= BENCH_13.json
+SNAPSHOT_PKGS = ./internal/sweep ./internal/work ./internal/profile ./internal/grid ./internal/obs ./internal/opt
 
 # help is self-maintaining: annotate a target with a trailing `## text`
 # and it appears here.

@@ -357,11 +357,11 @@ func BenchmarkModelEval(b *testing.B) {
 // the full optimization grid.
 func BenchmarkSchemeIDP(b *testing.B) {
 	fixtures(b)
-	lo, hi := opt.FeasibleDelayRange(fixL1, fixOps)
+	lo, hi := opt.NewFronts(fixL1, fixOps).DelayRange()
 	budget := lo + 0.5*(hi-lo)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := opt.OptimizeSchemeI(fixL1, fixOps, budget, 0)
+		r, _ := opt.OptimizeSchemeICtx(b.Context(), fixL1, fixOps, budget, 0)
 		if !r.Feasible {
 			b.Fatal("infeasible")
 		}
@@ -371,11 +371,11 @@ func BenchmarkSchemeIDP(b *testing.B) {
 // BenchmarkSchemeIIScan measures the Scheme II Pareto scan.
 func BenchmarkSchemeIIScan(b *testing.B) {
 	fixtures(b)
-	lo, hi := opt.FeasibleDelayRange(fixL1, fixOps)
+	lo, hi := opt.NewFronts(fixL1, fixOps).DelayRange()
 	budget := lo + 0.5*(hi-lo)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := opt.OptimizeSchemeII(fixL1, fixOps, budget)
+		r, _ := opt.OptimizeSchemeIICtx(b.Context(), fixL1, fixOps, budget)
 		if !r.Feasible {
 			b.Fatal("infeasible")
 		}

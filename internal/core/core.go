@@ -63,6 +63,9 @@ type CacheDesign struct {
 	Cfg   cachecfg.Config
 	Cache *components.Cache
 	Model *model.CacheModel
+
+	frontsOnce sync.Once
+	fronts     *opt.Fronts
 }
 
 // DesignCache builds the cache netlists for cfg, characterizes the four
@@ -124,22 +127,31 @@ func SharedDesign(cfg cachecfg.Config) (*CacheDesign, error) {
 // need a private copy should use KnobGrid.
 func SharedKnobGrid() []device.OperatingPoint { return sharedKnobGrid() }
 
+// Fronts returns the design's optimization fronts over SharedKnobGrid,
+// memoized on the design: every optimization of this cache, at any budget,
+// queries the same fronts, each built on first use.
+func (d *CacheDesign) Fronts() *opt.Fronts {
+	d.frontsOnce.Do(func() { d.fronts = opt.NewFronts(d.Model, SharedKnobGrid()) })
+	return d.fronts
+}
+
 // OptimizeLeakage minimizes the cache's total leakage under a delay budget
 // (seconds) with the chosen assignment scheme, searching the paper's fine
 // knob grid against the fitted model.
 func (d *CacheDesign) OptimizeLeakage(scheme opt.Scheme, delayBudget float64) opt.Result {
-	return opt.Optimize(scheme, d.Model, KnobGrid(), delayBudget)
+	r, _ := d.OptimizeLeakageCtx(context.Background(), scheme, delayBudget)
+	return r
 }
 
 // OptimizeLeakageCtx is OptimizeLeakage with cancellation.
 func (d *CacheDesign) OptimizeLeakageCtx(ctx context.Context, scheme opt.Scheme, delayBudget float64) (opt.Result, error) {
-	return opt.OptimizeCtx(ctx, scheme, d.Model, KnobGrid(), delayBudget)
+	return d.Fronts().Optimize(ctx, scheme, delayBudget)
 }
 
 // DelayRange returns the achievable [fastest, slowest] access times over
 // uniform assignments — the span of useful delay budgets.
 func (d *CacheDesign) DelayRange() (lo, hi float64) {
-	return opt.FeasibleDelayRange(d.Model, KnobGrid())
+	return d.Fronts().DelayRange()
 }
 
 // TradeoffCurve sweeps n delay budgets across the feasible range and
@@ -153,7 +165,7 @@ func (d *CacheDesign) TradeoffCurve(scheme opt.Scheme, n int) []opt.Result {
 // TradeoffCurveCtx is TradeoffCurve with cancellation.
 func (d *CacheDesign) TradeoffCurveCtx(ctx context.Context, scheme opt.Scheme, n int) ([]opt.Result, error) {
 	lo, hi := d.DelayRange()
-	return opt.FrontierCtx(ctx, scheme, d.Model, KnobGrid(), units.Linspace(lo, hi, n))
+	return d.Fronts().Frontier(ctx, scheme, units.Linspace(lo, hi, n))
 }
 
 // HierarchyDesign is a two-level cache system plus main memory under a
@@ -220,9 +232,9 @@ func DesignHierarchy(tech *device.Technology, l1Size, l2Size int, o HierarchyOpt
 	}, nil
 }
 
-// twoLevel assembles the optimizer view.
+// twoLevel assembles the optimizer view over the designs' memoized fronts.
 func (h *HierarchyDesign) twoLevel() *opt.TwoLevel {
-	return &opt.TwoLevel{L1: h.L1.Model, L2: h.L2.Model, M1: h.M1, M2: h.M2, Mem: h.Mem}
+	return &opt.TwoLevel{L1: h.L1.Model, L2: h.L2.Model, L1Fronts: h.L1.Fronts(), L2Fronts: h.L2.Fronts(), M1: h.M1, M2: h.M2, Mem: h.Mem}
 }
 
 // AMAT returns the average memory access time (s) under the assignments.
@@ -239,13 +251,15 @@ func (h *HierarchyDesign) TotalEnergy(a1, a2 components.Assignment) float64 {
 // OptimizeL2 minimizes combined leakage over L2 assignments under an AMAT
 // budget with L1 pinned (the paper's first two-level experiment).
 func (h *HierarchyDesign) OptimizeL2(scheme opt.Scheme, a1 components.Assignment, amatBudget float64) opt.TwoLevelResult {
-	return h.twoLevel().OptimizeL2(scheme, a1, KnobGrid(), amatBudget)
+	r, _ := h.twoLevel().OptimizeL2Ctx(context.Background(), scheme, a1, SharedKnobGrid(), amatBudget)
+	return r
 }
 
 // OptimizeL1 minimizes combined leakage over L1 assignments under an AMAT
 // budget with L2 pinned.
 func (h *HierarchyDesign) OptimizeL1(scheme opt.Scheme, a2 components.Assignment, amatBudget float64) opt.TwoLevelResult {
-	return h.twoLevel().OptimizeL1(scheme, a2, KnobGrid(), amatBudget)
+	r, _ := h.twoLevel().OptimizeL1Ctx(context.Background(), scheme, a2, SharedKnobGrid(), amatBudget)
+	return r
 }
 
 // MemorySystem returns the whole-system view used by the tuple-budget

@@ -36,7 +36,8 @@ func (e *Env) ModelVsDirectAblation(ctx context.Context) (Table, error) {
 	dir := opt.Direct{Cache: cache}
 	// A coarse grid keeps the direct (netlist-walking) optimizer affordable.
 	ops := opt.PairsFromGrid(units.GridSteps(0.20, 0.50, 0.02), units.GridSteps(10, 14, 0.5))
-	lo, hi := opt.FeasibleDelayRange(m, ops)
+	fm, fd := opt.NewFronts(m, ops), opt.NewFronts(dir, ops)
+	lo, hi := fm.DelayRange()
 
 	t := Table{
 		ID:    "tab-ablation-model",
@@ -51,11 +52,11 @@ func (e *Env) ModelVsDirectAblation(ctx context.Context) (Table, error) {
 	}
 	for _, frac := range []float64{0.35, 0.55, 0.75} {
 		budget := lo + frac*(hi-lo)
-		rm, err := opt.OptimizeSchemeIICtx(ctx, m, ops, budget)
+		rm, err := fm.Optimize(ctx, opt.SchemeII, budget)
 		if err != nil {
 			return Table{}, err
 		}
-		rd, err := opt.OptimizeSchemeIICtx(ctx, dir, ops, budget)
+		rd, err := fd.Optimize(ctx, opt.SchemeII, budget)
 		if err != nil {
 			return Table{}, err
 		}
@@ -119,10 +120,10 @@ func (e *Env) DrowsyExtension(ctx context.Context) (Table, error) {
 		return Table{}, err
 	}
 	g := charlib.OptimizationGrid()
-	ops := opt.PairsFromGrid(g.Vths, g.ToxAs)
-	lo, hi := opt.FeasibleDelayRange(m, ops)
+	f := opt.NewFronts(m, opt.PairsFromGrid(g.Vths, g.ToxAs))
+	lo, hi := f.DelayRange()
 	budget := lo + 0.55*(hi-lo)
-	r, err := opt.OptimizeSchemeIICtx(ctx, m, ops, budget)
+	r, err := f.Optimize(ctx, opt.SchemeII, budget)
 	if err != nil {
 		return Table{}, err
 	}
@@ -198,10 +199,9 @@ func (e *Env) TemperatureSensitivity(ctx context.Context) (Table, error) {
 		fast := components.Uniform(device.OP(0.20, 10))
 		l := cache.Leakage(fast)
 		// Optimize on a coarse grid directly (model fits are per-technology).
-		dir := opt.Direct{Cache: cache}
-		ops := opt.PairsFromGrid(units.GridSteps(0.20, 0.50, 0.025), units.GridSteps(10, 14, 0.5))
-		lo, hi := opt.FeasibleDelayRange(dir, ops)
-		r, err := opt.OptimizeSchemeIICtx(ctx, dir, ops, lo+0.55*(hi-lo))
+		f := opt.NewFronts(opt.Direct{Cache: cache}, opt.PairsFromGrid(units.GridSteps(0.20, 0.50, 0.025), units.GridSteps(10, 14, 0.5)))
+		lo, hi := f.DelayRange()
+		r, err := f.Optimize(ctx, opt.SchemeII, lo+0.55*(hi-lo))
 		if err != nil {
 			return Table{}, err
 		}
@@ -403,6 +403,7 @@ func (e *Env) JointOptimization(ctx context.Context) (Table, error) {
 	}
 	g := charlib.OptimizationGrid()
 	ops := opt.PairsFromGrid(g.Vths, g.ToxAs)
+	tl.L1Fronts, tl.L2Fronts = opt.NewFronts(tl.L1, ops), opt.NewFronts(tl.L2, ops)
 	fast := tl.AMAT(components.Uniform(device.OP(0.20, 10)), components.Uniform(device.OP(0.20, 10)))
 	slow := tl.AMAT(components.Uniform(device.OP(0.50, 14)), components.Uniform(device.OP(0.50, 14)))
 

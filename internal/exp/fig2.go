@@ -141,7 +141,8 @@ func (e *Env) BaselineComparison(ctx context.Context) (Table, error) {
 	full := opt.PairsFromGrid(g.Vths, g.ToxAs)
 	vthOnly := opt.VthOnlyGrid(g.Vths, 12)
 	toxOnly := opt.ToxOnlyGrid(g.ToxAs, 0.30)
-	lo, hi := opt.FeasibleDelayRange(m, full)
+	fronts := []*opt.Fronts{opt.NewFronts(m, full), opt.NewFronts(m, vthOnly), opt.NewFronts(m, toxOnly)}
+	lo, hi := fronts[0].DelayRange()
 
 	t := Table{
 		ID:    "tab-baseline",
@@ -163,8 +164,8 @@ func (e *Env) BaselineComparison(ctx context.Context) (Table, error) {
 		budget := lo + frac*(hi-lo)
 		row := make([]string, 0, 4)
 		row = append(row, fmt.Sprintf("%.0f", units.ToPS(budget)))
-		for _, grid := range [][]device.OperatingPoint{full, vthOnly, toxOnly} {
-			r, err := opt.OptimizeSchemeIICtx(ctx, m, grid, budget)
+		for _, f := range fronts {
+			r, err := f.Optimize(ctx, opt.SchemeII, budget)
 			if err != nil {
 				return Table{}, err
 			}

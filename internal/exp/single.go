@@ -63,8 +63,9 @@ func (e *Env) SchemeComparison(ctx context.Context) (Table, error) {
 		return Table{}, err
 	}
 	g := charlib.OptimizationGrid()
-	ops := opt.PairsFromGrid(g.Vths, g.ToxAs)
-	lo, hi := opt.FeasibleDelayRange(m, ops)
+	// One set of fronts answers every budget and scheme.
+	f := opt.NewFronts(m, opt.PairsFromGrid(g.Vths, g.ToxAs))
+	lo, hi := f.DelayRange()
 
 	t := Table{
 		ID:    "tab-schemes",
@@ -80,15 +81,15 @@ func (e *Env) SchemeComparison(ctx context.Context) (Table, error) {
 	fracs := []float64{0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
 	rows, err := sweep.MapCtx(ctx, len(fracs), e.workers(), func(ctx context.Context, i int) ([]string, error) {
 		budget := lo + fracs[i]*(hi-lo)
-		r1, err := opt.OptimizeSchemeICtx(ctx, m, ops, budget, 0)
+		r1, err := f.Optimize(ctx, opt.SchemeI, budget)
 		if err != nil {
 			return nil, err
 		}
-		r2, err := opt.OptimizeSchemeIICtx(ctx, m, ops, budget)
+		r2, err := f.Optimize(ctx, opt.SchemeII, budget)
 		if err != nil {
 			return nil, err
 		}
-		r3, err := opt.OptimizeSchemeIIICtx(ctx, m, ops, budget)
+		r3, err := f.Optimize(ctx, opt.SchemeIII, budget)
 		if err != nil {
 			return nil, err
 		}
@@ -125,7 +126,8 @@ func (e *Env) SchemeAssignments(ctx context.Context) (Table, error) {
 	}
 	g := charlib.OptimizationGrid()
 	ops := opt.PairsFromGrid(g.Vths, g.ToxAs)
-	lo, hi := opt.FeasibleDelayRange(m, ops)
+	f := opt.NewFronts(m, ops)
+	lo, hi := f.DelayRange()
 
 	t := Table{
 		ID:    "tab-assignments",
@@ -138,7 +140,7 @@ func (e *Env) SchemeAssignments(ctx context.Context) (Table, error) {
 	}
 	for _, frac := range []float64{0.3, 0.45, 0.6, 0.75, 0.9} {
 		budget := lo + frac*(hi-lo)
-		r, err := opt.OptimizeSchemeIICtx(ctx, m, ops, budget)
+		r, err := f.Optimize(ctx, opt.SchemeII, budget)
 		if err != nil {
 			return Table{}, err
 		}
@@ -222,7 +224,7 @@ func (e *Env) KnobSensitivity(ctx context.Context) (Table, error) {
 
 	// Strategy comparison at a mid budget.
 	full := opt.PairsFromGrid(vths, units.GridSteps(10, 14, 0.25))
-	lo, hi := opt.FeasibleDelayRange(m, full)
+	lo, hi := opt.NewFronts(m, full).DelayRange()
 	budget := lo + 0.55*(hi-lo)
 	strategies := []struct {
 		name string

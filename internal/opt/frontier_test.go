@@ -32,13 +32,13 @@ func TestOptimizeL2FrontierMatchesPointwise(t *testing.T) {
 	slow := tl.AMAT(a1, components.Uniform(device.OP(0.50, 14)))
 	budgets := units.Linspace(fast*0.5, slow*1.1, 7) // includes infeasible low end
 
-	got := tl.OptimizeL2Frontier(SchemeII, a1, ops, budgets)
+	got, _ := tl.OptimizeL2FrontierCtx(t.Context(), SchemeII, a1, ops, budgets)
 	if len(got) != len(budgets) {
 		t.Fatalf("frontier has %d results for %d budgets", len(got), len(budgets))
 	}
 	feasible := 0
 	for i, b := range budgets {
-		want := tl.OptimizeL2(SchemeII, a1, ops, b)
+		want, _ := tl.OptimizeL2Ctx(t.Context(), SchemeII, a1, ops, b)
 		if got[i] != want {
 			t.Errorf("budget %d: frontier %+v != pointwise %+v", i, got[i], want)
 		}

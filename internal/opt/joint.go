@@ -8,7 +8,7 @@ import (
 	"repro/internal/device"
 )
 
-// OptimizeJoint minimizes combined L1+L2 leakage under an AMAT budget with
+// OptimizeJointCtx minimizes combined L1+L2 leakage under an AMAT budget with
 // BOTH levels' assignments free — an extension of the paper's Section 5
 // experiments, which pin one level while optimizing the other.
 //
@@ -20,13 +20,7 @@ import (
 //
 // The initial point matters for a non-convex alternation: the search starts
 // from the fastest corner (always feasible if anything is) and lets the
-// levels take turns relaxing toward conservative knobs.
-func OptimizeJoint(t *TwoLevel, scheme Scheme, ops []device.OperatingPoint, amatBudget float64, maxRounds int) TwoLevelResult {
-	r, _ := OptimizeJointCtx(context.Background(), t, scheme, ops, amatBudget, maxRounds)
-	return r
-}
-
-// OptimizeJointCtx is OptimizeJoint with cancellation: the context is
+// levels take turns relaxing toward conservative knobs. The context is
 // checked once per descent round and inside each level's grid search.
 func OptimizeJointCtx(ctx context.Context, t *TwoLevel, scheme Scheme, ops []device.OperatingPoint, amatBudget float64, maxRounds int) (TwoLevelResult, error) {
 	if maxRounds <= 0 {
@@ -38,6 +32,7 @@ func OptimizeJointCtx(ctx context.Context, t *TwoLevel, scheme Scheme, ops []dev
 	if t.AMAT(a1, a2) > amatBudget {
 		return TwoLevelResult{Feasible: false}, nil
 	}
+	t = t.withFronts(ops)
 
 	best := math.Inf(1)
 	for round := 0; round < maxRounds; round++ {
@@ -67,15 +62,7 @@ func OptimizeJointCtx(ctx context.Context, t *TwoLevel, scheme Scheme, ops []dev
 			break
 		}
 	}
-	sys := t.System(a1, a2)
-	return TwoLevelResult{
-		L1Assignment: a1,
-		L2Assignment: a2,
-		LeakageW:     t.LeakageW(a1, a2),
-		AMATS:        sys.AMAT(),
-		TotalEnergyJ: sys.TotalEnergyJ(),
-		Feasible:     true,
-	}, nil
+	return t.result(a1, a2), nil
 }
 
 // fastestOP returns the candidate with minimum Vth then minimum Tox.

@@ -24,7 +24,7 @@ func TestJointRespectsAMAT(t *testing.T) {
 	ops := midOps()
 	for _, frac := range []float64{0.3, 0.6, 0.9} {
 		target := jointTarget(tl, frac)
-		r := OptimizeJoint(tl, SchemeII, ops, target, 0)
+		r, _ := OptimizeJointCtx(t.Context(), tl, SchemeII, ops, target, 0)
 		if !r.Feasible {
 			t.Fatalf("joint optimization infeasible at frac %v", frac)
 		}
@@ -40,8 +40,8 @@ func TestJointBeatsSingleSidedOptimization(t *testing.T) {
 	tl := jointSystem(t)
 	ops := midOps()
 	target := jointTarget(tl, 0.6)
-	joint := OptimizeJoint(tl, SchemeII, ops, target, 0)
-	l2only := tl.OptimizeL2(SchemeII, components.Uniform(DefaultOP()), ops, target)
+	joint, _ := OptimizeJointCtx(t.Context(), tl, SchemeII, ops, target, 0)
+	l2only, _ := tl.OptimizeL2Ctx(t.Context(), SchemeII, components.Uniform(DefaultOP()), ops, target)
 	if !joint.Feasible {
 		t.Fatal("joint infeasible")
 	}
@@ -55,7 +55,7 @@ func TestJointMonotoneInBudget(t *testing.T) {
 	ops := midOps()
 	prev := 1e99
 	for _, frac := range []float64{0.2, 0.4, 0.6, 0.8} {
-		r := OptimizeJoint(tl, SchemeII, ops, jointTarget(tl, frac), 0)
+		r, _ := OptimizeJointCtx(t.Context(), tl, SchemeII, ops, jointTarget(tl, frac), 0)
 		if !r.Feasible {
 			continue
 		}
@@ -69,7 +69,7 @@ func TestJointMonotoneInBudget(t *testing.T) {
 func TestJointInfeasibleBudget(t *testing.T) {
 	tl := jointSystem(t)
 	ops := midOps()
-	r := OptimizeJoint(tl, SchemeII, ops, jointTarget(tl, 0)/2, 0)
+	r, _ := OptimizeJointCtx(t.Context(), tl, SchemeII, ops, jointTarget(tl, 0)/2, 0)
 	if r.Feasible {
 		t.Error("impossible AMAT accepted")
 	}
@@ -79,7 +79,7 @@ func TestJointConservativeAtLooseBudget(t *testing.T) {
 	// With an unconstrained budget both levels should saturate their knobs.
 	tl := jointSystem(t)
 	ops := midOps()
-	r := OptimizeJoint(tl, SchemeII, ops, jointTarget(tl, 1.0)*2, 0)
+	r, _ := OptimizeJointCtx(t.Context(), tl, SchemeII, ops, jointTarget(tl, 1.0)*2, 0)
 	if !r.Feasible {
 		t.Fatal("infeasible at loose budget")
 	}

@@ -6,11 +6,19 @@
 // Section 4's three assignment schemes are provided for a single cache:
 //
 //   - Scheme I: an independent pair per component — solved exactly (up to
-//     delay quantization) with per-component Pareto sets and a
+//     delay quantization) with per-component Pareto fronts and a
 //     multiple-choice-knapsack dynamic program;
 //   - Scheme II: one pair for the cell array, one for the periphery —
-//     solved by scanning pair x pair with Pareto pruning;
-//   - Scheme III: a single pair — solved by scanning the grid.
+//     solved by combining the cell front with the periphery-group front;
+//   - Scheme III: a single pair — answered from a staircase: the uniform
+//     assignments sorted stably by delay, keeping each one at which the
+//     running minimum of (leakage, knob-grid index) changes, so a budget
+//     is a binary search and ties go to the earliest grid candidate.
+//
+// Only the budget varies between queries: Fronts builds the fronts and the
+// staircase once per (evaluator, knob grid), lazily per piece, and answers
+// every budget by lookup. Pareto fronts sort stably, so of two exactly
+// tied candidates the earlier input always represents them.
 //
 // Section 5's two-level and whole-memory-system optimizations, and the
 // Figure 2 (#Tox, #Vth) tuple-budget search, build on the same machinery in

@@ -21,7 +21,7 @@ var (
 	l1Direct   Direct
 )
 
-func testModels(t *testing.T) (*model.CacheModel, *model.CacheModel, Direct) {
+func testModels(t testing.TB) (*model.CacheModel, *model.CacheModel, Direct) {
 	t.Helper()
 	onceModels.Do(func() {
 		tech := device.Default65nm()
@@ -105,12 +105,12 @@ func TestSchemeOrdering(t *testing.T) {
 	// The paper: Scheme III worst, Scheme I best, Scheme II close to I.
 	l1m, _, _ := testModels(t)
 	ops := midOps()
-	lo, hi := FeasibleDelayRange(l1m, ops)
+	lo, hi := NewFronts(l1m, ops).DelayRange()
 	budget := lo + 0.5*(hi-lo)
 
-	r3 := OptimizeSchemeIII(l1m, ops, budget)
-	r2 := OptimizeSchemeII(l1m, ops, budget)
-	r1 := OptimizeSchemeI(l1m, ops, budget, 0)
+	r3, _ := OptimizeSchemeIIICtx(t.Context(), l1m, ops, budget)
+	r2, _ := OptimizeSchemeIICtx(t.Context(), l1m, ops, budget)
+	r1, _ := OptimizeSchemeICtx(t.Context(), l1m, ops, budget, 0)
 	if !r3.Feasible || !r2.Feasible || !r1.Feasible {
 		t.Fatalf("all schemes should be feasible at mid budget: %v / %v / %v", r1, r2, r3)
 	}
@@ -150,10 +150,10 @@ func TestOptimalAssignmentStructure(t *testing.T) {
 	// sufficiently low."
 	l1m, _, _ := testModels(t)
 	ops := midOps()
-	lo, hi := FeasibleDelayRange(l1m, ops)
+	lo, hi := NewFronts(l1m, ops).DelayRange()
 	for _, frac := range []float64{0.35, 0.5, 0.7} {
 		budget := lo + frac*(hi-lo)
-		r := OptimizeSchemeII(l1m, ops, budget)
+		r, _ := OptimizeSchemeIICtx(t.Context(), l1m, ops, budget)
 		if !r.Feasible {
 			continue
 		}
@@ -170,14 +170,43 @@ func TestOptimalAssignmentStructure(t *testing.T) {
 	}
 }
 
+// exhaustiveSchemeI enumerates the full cross product of candidate points —
+// exponential, usable only on coarse grids; it validates the Scheme I DP.
+func exhaustiveSchemeI(ev ComponentEvaluator, ops []device.OperatingPoint, delayBudget float64) Result {
+	best := infeasible(SchemeI)
+	var asgn components.Assignment
+	var recurse func(k int, delay, leak float64)
+	recurse = func(k int, delay, leak float64) {
+		if delay > delayBudget || leak >= best.LeakageW {
+			return // prune: both metrics only grow
+		}
+		if k == int(components.PartCount) {
+			best.LeakageW = leak
+			best.DelayS = delay
+			best.Assignment = asgn
+			best.Feasible = true
+			return
+		}
+		for _, op := range ops {
+			asgn[k] = op
+			best.Evaluated++
+			recurse(k+1,
+				delay+ev.PartDelayS(partID(k), op),
+				leak+ev.PartLeakageW(partID(k), op))
+		}
+	}
+	recurse(0, 0, 0)
+	return best
+}
+
 func TestSchemeIMatchesExhaustiveOnCoarseGrid(t *testing.T) {
 	l1m, _, _ := testModels(t)
 	ops := coarseOps()
-	lo, hi := FeasibleDelayRange(l1m, ops)
+	lo, hi := NewFronts(l1m, ops).DelayRange()
 	for _, frac := range []float64{0.4, 0.6, 0.9} {
 		budget := lo + frac*(hi-lo)
-		dp := OptimizeSchemeI(l1m, ops, budget, 8000)
-		ex := ExhaustiveSchemeI(l1m, ops, budget)
+		dp, _ := OptimizeSchemeICtx(t.Context(), l1m, ops, budget, 8000)
+		ex := exhaustiveSchemeI(l1m, ops, budget)
 		if dp.Feasible != ex.Feasible {
 			t.Fatalf("budget %v: DP feasible=%v, exhaustive=%v", budget, dp.Feasible, ex.Feasible)
 		}
@@ -197,10 +226,10 @@ func TestSchemeIMatchesExhaustiveOnCoarseGrid(t *testing.T) {
 func TestOptimumMonotoneInBudget(t *testing.T) {
 	l1m, _, _ := testModels(t)
 	ops := midOps()
-	lo, hi := FeasibleDelayRange(l1m, ops)
+	lo, hi := NewFronts(l1m, ops).DelayRange()
 	var prev float64 = math.Inf(1)
 	for _, frac := range []float64{0.2, 0.4, 0.6, 0.8, 1.0} {
-		r := OptimizeSchemeIII(l1m, ops, lo+frac*(hi-lo))
+		r, _ := OptimizeSchemeIIICtx(t.Context(), l1m, ops, lo+frac*(hi-lo))
 		if !r.Feasible {
 			continue
 		}
@@ -214,9 +243,9 @@ func TestOptimumMonotoneInBudget(t *testing.T) {
 func TestInfeasibleBudget(t *testing.T) {
 	l1m, _, _ := testModels(t)
 	ops := midOps()
-	lo, _ := FeasibleDelayRange(l1m, ops)
+	lo, _ := NewFronts(l1m, ops).DelayRange()
 	for _, s := range []Scheme{SchemeI, SchemeII, SchemeIII} {
-		r := Optimize(s, l1m, ops, lo/10)
+		r, _ := OptimizeCtx(t.Context(), s, l1m, ops, lo/10)
 		if r.Feasible {
 			t.Errorf("%v: impossible budget reported feasible", s)
 		}
@@ -226,9 +255,12 @@ func TestInfeasibleBudget(t *testing.T) {
 func TestFrontier(t *testing.T) {
 	l1m, _, _ := testModels(t)
 	ops := midOps()
-	lo, hi := FeasibleDelayRange(l1m, ops)
+	lo, hi := NewFronts(l1m, ops).DelayRange()
 	budgets := units.Linspace(lo, hi, 8)
-	rs := Frontier(SchemeIII, l1m, ops, budgets)
+	rs, err := NewFronts(l1m, ops).Frontier(t.Context(), SchemeIII, budgets)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rs) != len(budgets) {
 		t.Fatalf("frontier size %d", len(rs))
 	}
@@ -248,10 +280,10 @@ func TestDirectAgreesWithModelOrdering(t *testing.T) {
 	// agree on the big picture (Scheme II optimum within ~40% leakage).
 	l1m, _, dir := testModels(t)
 	ops := coarseOps()
-	lo, hi := FeasibleDelayRange(l1m, ops)
+	lo, hi := NewFronts(l1m, ops).DelayRange()
 	budget := lo + 0.6*(hi-lo)
-	rm := OptimizeSchemeII(l1m, ops, budget)
-	rd := OptimizeSchemeII(dir, ops, budget)
+	rm, _ := OptimizeSchemeIICtx(t.Context(), l1m, ops, budget)
+	rd, _ := OptimizeSchemeIICtx(t.Context(), dir, ops, budget)
 	if !rm.Feasible || !rd.Feasible {
 		t.Fatalf("feasibility mismatch: model=%v direct=%v", rm.Feasible, rd.Feasible)
 	}
@@ -288,11 +320,11 @@ func TestVthKnobBeatsToxKnob(t *testing.T) {
 	// Tox-only optimization at a sensible fixed Vth for the same mid budget.
 	l1m, _, _ := testModels(t)
 	full := midOps()
-	lo, hi := FeasibleDelayRange(l1m, full)
+	lo, hi := NewFronts(l1m, full).DelayRange()
 	budget := lo + 0.6*(hi-lo)
 
-	vOnly := OptimizeSchemeIII(l1m, VthOnlyGrid(units.GridSteps(0.20, 0.50, 0.005), 12), budget)
-	tOnly := OptimizeSchemeIII(l1m, ToxOnlyGrid(units.GridSteps(10, 14, 0.1), 0.3), budget)
+	vOnly, _ := OptimizeSchemeIIICtx(t.Context(), l1m, VthOnlyGrid(units.GridSteps(0.20, 0.50, 0.005), 12), budget)
+	tOnly, _ := OptimizeSchemeIIICtx(t.Context(), l1m, ToxOnlyGrid(units.GridSteps(10, 14, 0.1), 0.3), budget)
 	if !vOnly.Feasible || !tOnly.Feasible {
 		t.Fatalf("baseline optimizations infeasible: v=%v t=%v", vOnly.Feasible, tOnly.Feasible)
 	}
@@ -353,8 +385,8 @@ func TestTwoLevelOptimizeL2(t *testing.T) {
 	slow := tl.AMAT(a1, components.Uniform(device.OP(0.50, 14)))
 	target := fast + 0.5*(slow-fast)
 
-	single := tl.OptimizeL2(SchemeIII, a1, ops, target)
-	split := tl.OptimizeL2(SchemeII, a1, ops, target)
+	single, _ := tl.OptimizeL2Ctx(t.Context(), SchemeIII, a1, ops, target)
+	split, _ := tl.OptimizeL2Ctx(t.Context(), SchemeII, a1, ops, target)
 	if !single.Feasible || !split.Feasible {
 		t.Fatalf("L2 optimizations infeasible: single=%v split=%v", single.Feasible, split.Feasible)
 	}
@@ -382,7 +414,7 @@ func TestTwoLevelOptimizeL1(t *testing.T) {
 	fast := tl.AMAT(components.Uniform(device.OP(0.20, 10)), a2)
 	slow := tl.AMAT(components.Uniform(device.OP(0.50, 14)), a2)
 	target := fast + 0.6*(slow-fast)
-	r := tl.OptimizeL1(SchemeII, a2, midOps(), target)
+	r, _ := tl.OptimizeL1Ctx(t.Context(), SchemeII, a2, midOps(), target)
 	if !r.Feasible {
 		t.Fatal("L1 optimization infeasible")
 	}

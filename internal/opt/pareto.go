@@ -1,10 +1,11 @@
 package opt
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/device"
-	"repro/internal/sweep"
 )
 
 // ParetoPoint is one (delay, leakage) trade-off point with the operating
@@ -18,50 +19,37 @@ type ParetoPoint struct {
 // ParetoFront reduces candidate points to the non-dominated set, sorted by
 // increasing delay (and therefore decreasing leakage). A point dominates
 // another when it is no slower and leaks no more, and is strictly better in
-// at least one dimension.
+// at least one dimension. The sort is stable, so among points with equal
+// delay and leakage the earliest in input order represents them, and the
+// fastest point is always kept.
 func ParetoFront(points []ParetoPoint) []ParetoPoint {
 	if len(points) == 0 {
 		return nil
 	}
-	sorted := append([]ParetoPoint(nil), points...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].DelayS != sorted[j].DelayS {
-			return sorted[i].DelayS < sorted[j].DelayS
+	sorted := slices.Clone(points)
+	slices.SortStableFunc(sorted, func(a, b ParetoPoint) int {
+		if c := cmp.Compare(a.DelayS, b.DelayS); c != 0 {
+			return c
 		}
-		return sorted[i].LeakageW < sorted[j].LeakageW
+		return cmp.Compare(a.LeakageW, b.LeakageW)
 	})
-	out := sorted[:0]
-	bestLeak := sorted[0].LeakageW + 1
-	for _, p := range sorted {
-		if p.LeakageW < bestLeak {
+	out := sorted[:1]
+	for _, p := range sorted[1:] {
+		if p.LeakageW < out[len(out)-1].LeakageW {
 			out = append(out, p)
-			bestLeak = p.LeakageW
 		}
 	}
-	// Copy to detach from the shared backing array.
-	return append([]ParetoPoint(nil), out...)
-}
-
-// componentPareto builds the per-component Pareto set over the candidate
-// operating points, sharding the evaluation scan across workers (the front
-// reduction sorts, so input-ordered collection keeps it deterministic).
-func componentPareto(ev ComponentEvaluator, part int, ops []device.OperatingPoint) []ParetoPoint {
-	pts, _ := sweep.Map(len(ops), scanWorkers(len(ops)), func(i int) (ParetoPoint, error) {
-		return ParetoPoint{
-			DelayS:   ev.PartDelayS(partID(part), ops[i]),
-			LeakageW: ev.PartLeakageW(partID(part), ops[i]),
-			OP:       ops[i],
-		}, nil
-	})
-	return ParetoFront(pts)
+	// Copy to detach from the candidate-sized backing array.
+	return slices.Clone(out)
 }
 
 // BestUnderBudget returns the least-leaky point with delay <= budget, or
-// false when none qualifies. Points must be a Pareto front (sorted by delay).
+// false when none qualifies (a NaN budget admits nothing). Points must be
+// sorted by increasing delay with non-increasing leakage, as a Pareto
+// front is.
 func BestUnderBudget(front []ParetoPoint, budget float64) (ParetoPoint, bool) {
-	// The front is sorted by increasing delay with decreasing leakage, so
-	// the best feasible point is the last one within budget.
-	idx := sort.Search(len(front), func(i int) bool { return front[i].DelayS > budget })
+	// The best feasible point is the last one within budget.
+	idx := sort.Search(len(front), func(i int) bool { return !(front[i].DelayS <= budget) })
 	if idx == 0 {
 		return ParetoPoint{}, false
 	}

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -132,5 +133,60 @@ func TestBestUnderBudgetMatchesLinearScanProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestParetoFrontKeepsFastestPointAtHugeLeakage is the regression test for
+// a "best so far" seed of leakage+1, which equals the leakage once
+// |leakage| >= 2^53 or it is +Inf, and so silently dropped the fastest
+// point.
+func TestParetoFrontKeepsFastestPointAtHugeLeakage(t *testing.T) {
+	for _, l := range []float64{1e16, math.Inf(1)} {
+		p := ParetoPoint{DelayS: 1, LeakageW: l, OP: device.OP(0.3, 12)}
+		if got := ParetoFront([]ParetoPoint{p}); len(got) != 1 || got[0] != p {
+			t.Errorf("leakage %v: front %+v, want [%+v]", l, got, p)
+		}
+		faster := ParetoPoint{DelayS: 0.5, LeakageW: l, OP: device.OP(0.2, 10)}
+		if got := ParetoFront([]ParetoPoint{p, faster}); len(got) != 1 || got[0] != faster {
+			t.Errorf("leakage %v: front %+v, want [%+v]", l, got, faster)
+		}
+	}
+}
+
+// TestParetoFrontTieKeepsEarliestInput pins the stable tie-break: of
+// points with equal delay and leakage, the earliest in input order stays.
+func TestParetoFrontTieKeepsEarliestInput(t *testing.T) {
+	a := ParetoPoint{DelayS: 1, LeakageW: 2, OP: device.OP(0.3, 12)}
+	b := ParetoPoint{DelayS: 1, LeakageW: 2, OP: device.OP(0.4, 13)}
+	slow := ParetoPoint{DelayS: 3, LeakageW: 1, OP: device.OP(0.5, 14)}
+	for _, c := range []struct {
+		in   []ParetoPoint
+		want ParetoPoint
+	}{
+		{[]ParetoPoint{a, slow, b}, a},
+		{[]ParetoPoint{b, slow, a}, b},
+		{[]ParetoPoint{slow, b, a}, b},
+	} {
+		got := ParetoFront(c.in)
+		if len(got) != 2 || got[0] != c.want || got[1] != slow {
+			t.Errorf("ParetoFront(%+v) = %+v, want [%+v %+v]", c.in, got, c.want, slow)
+		}
+	}
+	// Enough ties that an unstable sort would reorder them.
+	rng := rand.New(rand.NewSource(3))
+	var many []ParetoPoint
+	for i := 0; i < 200; i++ {
+		p := ParetoPoint{DelayS: float64(rng.Intn(3)), LeakageW: float64(rng.Intn(3)), OP: device.OP(0.2+0.001*float64(i), 12)}
+		many = append(many, p)
+	}
+	for _, f := range ParetoFront(many) {
+		for _, p := range many {
+			if p.DelayS == f.DelayS && p.LeakageW == f.LeakageW {
+				if p != f {
+					t.Errorf("front kept %+v, but %+v ties it earlier in the input", f, p)
+				}
+				break
+			}
+		}
 	}
 }

@@ -6,116 +6,51 @@ import (
 
 	"repro/internal/components"
 	"repro/internal/device"
-	"repro/internal/sweep"
 )
 
 func partID(i int) components.PartID { return components.PartID(i) }
 
-// minParallelOps is the grid size below which the scheme optimizers skip
-// goroutine fan-out: tiny scans are cheaper than the scheduling they'd buy.
-const minParallelOps = 256
-
-// scanWorkers picks the shard fan-out for an n-candidate scan.
-func scanWorkers(n int) int {
-	if n < minParallelOps {
-		return 1
-	}
-	return sweep.Workers(0)
-}
-
-// OptimizeSchemeIII finds the least-leaky uniform assignment meeting the
-// delay budget; it is OptimizeSchemeIIICtx without cancellation.
-func OptimizeSchemeIII(ev Evaluator, ops []device.OperatingPoint, delayBudget float64) Result {
-	r, _ := OptimizeSchemeIIICtx(context.Background(), ev, ops, delayBudget)
-	return r
-}
-
 // OptimizeSchemeIIICtx finds the least-leaky uniform assignment meeting
-// the delay budget by scanning the candidate operating points. The scan is
-// sharded across workers; shard-local bests are reduced in input order with
-// the same strict inequality as the sequential scan, so the earliest
-// feasible candidate still wins ties and the result is identical. On
-// cancellation it returns ctx's error and an infeasible result.
+// the delay budget — the earliest candidate with strictly least leakage
+// among those within budget — by building the grid's staircase and
+// looking the budget up (see Fronts). On cancellation it returns ctx's
+// error and an infeasible result.
 func OptimizeSchemeIIICtx(ctx context.Context, ev Evaluator, ops []device.OperatingPoint, delayBudget float64) (Result, error) {
-	shards := sweep.Shards(len(ops), scanWorkers(len(ops)))
-	partials, err := sweep.MapCtx(ctx, len(shards), len(shards), func(ctx context.Context, si int) (Result, error) {
-		best := infeasible(SchemeIII)
-		for _, op := range ops[shards[si].Lo:shards[si].Hi] {
-			a := components.Uniform(op)
-			best.Evaluated++
-			if d := ev.AccessTimeS(a); d <= delayBudget {
-				if l := ev.LeakageW(a); l < best.LeakageW {
-					best.Assignment = a
-					best.LeakageW = l
-					best.DelayS = d
-					best.Feasible = true
-				}
-			}
-		}
-		return best, nil
-	})
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return infeasible(SchemeIII), err
 	}
-	return reduceResults(SchemeIII, partials), nil
+	return schemeIII(uniformStaircase(ev, ops), len(ops), delayBudget), nil
 }
 
-// reduceResults folds shard-local optimization results in shard order,
-// keeping the first strict improvement (sequential tie-breaking) and summing
-// evaluation counts.
-func reduceResults(s Scheme, partials []Result) Result {
-	best := infeasible(s)
-	for _, p := range partials {
-		best.Evaluated += p.Evaluated
-		if p.Feasible && p.LeakageW < best.LeakageW {
-			ev := best.Evaluated
-			best = p
-			best.Evaluated = ev
-		}
+// schemeIII answers a budget from the staircase of an n-candidate grid.
+func schemeIII(s staircase, n int, delayBudget float64) Result {
+	r := infeasible(SchemeIII)
+	r.Evaluated = n
+	if p, ok := BestUnderBudget(s.steps, delayBudget); ok {
+		r.Assignment = components.Uniform(p.OP)
+		r.LeakageW = p.LeakageW
+		r.DelayS = p.DelayS
+		r.Feasible = true
 	}
-	return best
-}
-
-// OptimizeSchemeII finds the least-leaky (cell pair, periphery pair)
-// assignment meeting the delay budget; it is OptimizeSchemeIICtx without
-// cancellation.
-func OptimizeSchemeII(ev ComponentEvaluator, ops []device.OperatingPoint, delayBudget float64) Result {
-	r, _ := OptimizeSchemeIICtx(context.Background(), ev, ops, delayBudget)
 	return r
 }
 
 // OptimizeSchemeIICtx finds the least-leaky (cell pair, periphery pair)
-// assignment meeting the delay budget. The two groups decompose additively,
-// so each group is reduced to its Pareto front first (the two front builds
-// run concurrently, each sharding its candidate scan) and the fronts are
-// combined in O(|cell front| * log |periph front|).
+// assignment meeting the delay budget, building only the two fronts
+// Scheme II needs.
 func OptimizeSchemeIICtx(ctx context.Context, ev ComponentEvaluator, ops []device.OperatingPoint, delayBudget float64) (Result, error) {
-	fronts, err := sweep.MapCtx(ctx, 2, 2, func(ctx context.Context, which int) ([]ParetoPoint, error) {
-		if which == 0 {
-			return componentPareto(ev, int(components.PartCellArray), ops), nil
-		}
-		// Periphery group: three components sharing one pair.
-		periphPts, perr := sweep.MapCtx(ctx, len(ops), scanWorkers(len(ops)), func(_ context.Context, i int) (ParetoPoint, error) {
-			var d, l float64
-			for _, p := range []components.PartID{components.PartDecoder, components.PartAddrDrivers, components.PartDataDrivers} {
-				d += ev.PartDelayS(p, ops[i])
-				l += ev.PartLeakageW(p, ops[i])
-			}
-			return ParetoPoint{DelayS: d, LeakageW: l, OP: ops[i]}, nil
-		})
-		if perr != nil {
-			return nil, perr
-		}
-		return ParetoFront(periphPts), nil
-	})
-	if err != nil {
-		return infeasible(SchemeII), err
-	}
-	cellFront, periphFront := fronts[0], fronts[1]
+	return NewFronts(ev, ops).Optimize(ctx, SchemeII, delayBudget)
+}
 
+// schemeII combines the cell front with the periphery-group front. The two
+// groups decompose additively, so for each cell point the best periphery
+// point is the last one within the remaining budget: O(|cell front| *
+// log |periph front|) per budget. The first strict improvement wins ties.
+func (f *Fronts) schemeII(delayBudget float64) Result {
+	periphFront := f.periph()
 	best := infeasible(SchemeII)
-	best.Evaluated = len(ops) * 2
-	for _, cell := range cellFront {
+	best.Evaluated = len(f.ops) * 2
+	for _, cell := range f.parts[components.PartCellArray]() {
 		rem := delayBudget - cell.DelayS
 		if rem < 0 {
 			continue
@@ -131,38 +66,34 @@ func OptimizeSchemeIICtx(ctx context.Context, ev ComponentEvaluator, ops []devic
 			best.Feasible = true
 		}
 	}
-	return best, nil
+	return best
 }
 
 // SchemeIBins is the default delay quantization for the Scheme I dynamic
 // program. Finer bins tighten the (conservative) quantization error.
 const SchemeIBins = 4000
 
-// OptimizeSchemeI finds independent per-component pairs minimizing total
-// leakage under the delay budget; it is OptimizeSchemeICtx without
-// cancellation.
-func OptimizeSchemeI(ev ComponentEvaluator, ops []device.OperatingPoint, delayBudget float64, bins int) Result {
-	r, _ := OptimizeSchemeICtx(context.Background(), ev, ops, delayBudget, bins)
-	return r
+// OptimizeSchemeICtx finds independent per-component pairs minimizing total
+// leakage under the delay budget with a DP of the given bin count (see
+// Fronts.schemeI).
+func OptimizeSchemeICtx(ctx context.Context, ev ComponentEvaluator, ops []device.OperatingPoint, delayBudget float64, bins int) (Result, error) {
+	if err := ctx.Err(); err != nil {
+		return infeasible(SchemeI), err
+	}
+	return NewFronts(ev, ops).schemeI(ctx, delayBudget, bins)
 }
 
-// OptimizeSchemeICtx finds independent per-component pairs minimizing total
-// leakage under the delay budget. Components are reduced to Pareto fronts
-// and combined with a multiple-choice-knapsack dynamic program over a
-// quantized delay budget. Delays are rounded up to bin boundaries, so the
-// returned assignment never violates the true budget (the DP may miss
-// solutions within one bin width of the boundary). The context is checked
-// between DP layers.
-func OptimizeSchemeICtx(ctx context.Context, ev ComponentEvaluator, ops []device.OperatingPoint, delayBudget float64, bins int) (Result, error) {
+// schemeI combines the per-component Pareto fronts with a
+// multiple-choice-knapsack dynamic program over a quantized delay budget.
+// Delays are rounded up to bin boundaries, so the returned assignment never
+// violates the true budget (the DP may miss solutions within one bin width
+// of the boundary). The context is checked between DP layers.
+func (f *Fronts) schemeI(ctx context.Context, delayBudget float64, bins int) (Result, error) {
 	if bins <= 0 {
 		bins = SchemeIBins
 	}
-	fronts, err := sweep.MapCtx(ctx, int(components.PartCount), int(components.PartCount),
-		func(_ context.Context, i int) ([]ParetoPoint, error) { return componentPareto(ev, i, ops), nil })
-	if err != nil {
-		return infeasible(SchemeI), err
-	}
-	evaluated := int(components.PartCount) * len(ops)
+	ev := f.ev
+	evaluated := int(components.PartCount) * len(f.ops)
 	binW := delayBudget / float64(bins)
 	if binW <= 0 {
 		return infeasible(SchemeI), nil
@@ -184,7 +115,7 @@ func OptimizeSchemeICtx(ctx context.Context, ev ComponentEvaluator, ops []device
 		for i := range nxt {
 			nxt[i] = inf
 		}
-		for _, pt := range fronts[k] {
+		for _, pt := range f.parts[k]() {
 			cost := binCost(pt.DelayS)
 			if cost > bins {
 				continue
@@ -220,7 +151,7 @@ func OptimizeSchemeICtx(ctx context.Context, ev ComponentEvaluator, ops []device
 	b := bestBin
 	for k := int(components.PartCount) - 1; k >= 0; k-- {
 		found := false
-		for _, pt := range fronts[k] {
+		for _, pt := range f.parts[k]() {
 			cost := binCost(pt.DelayS)
 			if cost > b || tables[k][b-cost] == inf {
 				continue
@@ -261,79 +192,9 @@ func approxEq(a, b float64) bool {
 	return d <= 1e-12*math.Max(math.Abs(a), math.Abs(b))
 }
 
-// ExhaustiveSchemeI enumerates the full cross product of candidate points —
-// exponential, usable only on coarse grids; it exists to validate the DP.
-func ExhaustiveSchemeI(ev ComponentEvaluator, ops []device.OperatingPoint, delayBudget float64) Result {
-	best := infeasible(SchemeI)
-	var asgn components.Assignment
-	var recurse func(k int, delay, leak float64)
-	recurse = func(k int, delay, leak float64) {
-		if delay > delayBudget || leak >= best.LeakageW {
-			return // prune: both metrics only grow
-		}
-		if k == int(components.PartCount) {
-			best.LeakageW = leak
-			best.DelayS = delay
-			best.Assignment = asgn
-			best.Feasible = true
-			return
-		}
-		for _, op := range ops {
-			asgn[k] = op
-			best.Evaluated++
-			recurse(k+1,
-				delay+ev.PartDelayS(partID(k), op),
-				leak+ev.PartLeakageW(partID(k), op))
-		}
-	}
-	recurse(0, 0, 0)
-	return best
-}
-
-// Optimize dispatches to the scheme-specific optimizer; it is OptimizeCtx
-// without cancellation.
-func Optimize(s Scheme, ev ComponentEvaluator, ops []device.OperatingPoint, delayBudget float64) Result {
-	r, _ := OptimizeCtx(context.Background(), s, ev, ops, delayBudget)
-	return r
-}
-
-// OptimizeCtx dispatches to the scheme-specific optimizer.
+// OptimizeCtx dispatches to the scheme-specific optimizer over fresh
+// fronts of ev; callers optimizing one cache at many budgets build the
+// Fronts once and query them instead.
 func OptimizeCtx(ctx context.Context, s Scheme, ev ComponentEvaluator, ops []device.OperatingPoint, delayBudget float64) (Result, error) {
-	switch s {
-	case SchemeI:
-		return OptimizeSchemeICtx(ctx, ev, ops, delayBudget, 0)
-	case SchemeII:
-		return OptimizeSchemeIICtx(ctx, ev, ops, delayBudget)
-	default:
-		return OptimizeSchemeIIICtx(ctx, ev, ops, delayBudget)
-	}
-}
-
-// FeasibleDelayRange returns the minimum and maximum achievable access times
-// over uniform assignments — the span of delay budgets worth sweeping.
-func FeasibleDelayRange(ev Evaluator, ops []device.OperatingPoint) (lo, hi float64) {
-	lo, hi = math.Inf(1), math.Inf(-1)
-	for _, op := range ops {
-		d := ev.AccessTimeS(components.Uniform(op))
-		lo = math.Min(lo, d)
-		hi = math.Max(hi, d)
-	}
-	return lo, hi
-}
-
-// Frontier sweeps delay budgets and returns one optimization result per
-// budget; it is FrontierCtx without cancellation.
-func Frontier(s Scheme, ev ComponentEvaluator, ops []device.OperatingPoint, budgets []float64) []Result {
-	out, _ := FrontierCtx(context.Background(), s, ev, ops, budgets)
-	return out
-}
-
-// FrontierCtx sweeps delay budgets and returns one optimization result per
-// budget — the leakage-vs-delay trade-off curve of the scheme. Budgets are
-// independent, so each runs on its own worker; results come back in budget
-// order.
-func FrontierCtx(ctx context.Context, s Scheme, ev ComponentEvaluator, ops []device.OperatingPoint, budgets []float64) ([]Result, error) {
-	return sweep.MapCtx(ctx, len(budgets), 0, func(ctx context.Context, i int) (Result, error) {
-		return OptimizeCtx(ctx, s, ev, ops, budgets[i])
-	})
+	return NewFronts(ev, ops).Optimize(ctx, s, delayBudget)
 }

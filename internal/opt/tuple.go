@@ -132,23 +132,19 @@ func (r TupleResult) String() string {
 	return fmt.Sprintf("%v: E=%.4gJ AMAT=%.4gs Vth=%v Tox=%v", r.Budget, r.EnergyJ, r.AMATS, r.VthSet, r.ToxSet)
 }
 
-// groupMetrics caches per-group leakage/delay/energy for every candidate
-// operating point, so assignment enumeration is pure arithmetic.
+// groupMetrics caches per-group leakage and delay for every candidate
+// operating point, so assignment enumeration is pure arithmetic (dynamic
+// energy is charged per assignment via DynamicEnergyJ).
 type groupMetrics struct {
-	leak   []float64
-	delay  []float64
-	energy []float64
+	leak  []float64
+	delay []float64
 }
 
 func (ms *MemorySystem) groupTables(ops []device.OperatingPoint) [GroupCount]groupMetrics {
 	var out [GroupCount]groupMetrics
 	periph := []components.PartID{components.PartDecoder, components.PartAddrDrivers, components.PartDataDrivers}
 	for g := GroupID(0); g < GroupCount; g++ {
-		out[g] = groupMetrics{
-			leak:   make([]float64, len(ops)),
-			delay:  make([]float64, len(ops)),
-			energy: make([]float64, len(ops)),
-		}
+		out[g] = groupMetrics{leak: make([]float64, len(ops)), delay: make([]float64, len(ops))}
 	}
 	for i, op := range ops {
 		for _, gc := range []struct {
@@ -165,10 +161,6 @@ func (ms *MemorySystem) groupTables(ops []device.OperatingPoint) [GroupCount]gro
 				out[gc.peri].leak[i] += gc.ev.PartLeakageW(p, op)
 				out[gc.peri].delay[i] += gc.ev.PartDelayS(p, op)
 			}
-			// Energy is charged per assignment via DynamicEnergyJ below; the
-			// group tables carry it only for diagnostics.
-			out[gc.cell].energy[i] = 0
-			out[gc.peri].energy[i] = 0
 		}
 	}
 	return out

@@ -29,6 +29,10 @@ func (d Direct) DynamicEnergyJ(a components.Assignment) float64 {
 // chosen workload and sizes.
 type TwoLevel struct {
 	L1, L2 CacheEvaluator
+	// L1Fronts and L2Fronts are optional prebuilt fronts of L1 and L2.
+	// OptimizeL1/OptimizeL2 query them when called with the very knob-grid
+	// slice they were built over, and build fresh fronts otherwise.
+	L1Fronts, L2Fronts *Fronts
 	// M1, M2 are the local miss rates of the chosen (L1 size, L2 size) under
 	// the workload (from sim.MissMatrix).
 	M1, M2 float64
@@ -109,19 +113,24 @@ type TwoLevelResult struct {
 	Feasible     bool
 }
 
+// result evaluates the system under a feasible pair of assignments.
+func (t *TwoLevel) result(a1, a2 components.Assignment) TwoLevelResult {
+	sys := t.System(a1, a2)
+	return TwoLevelResult{
+		L1Assignment: a1,
+		L2Assignment: a2,
+		LeakageW:     t.LeakageW(a1, a2),
+		AMATS:        sys.AMAT(),
+		TotalEnergyJ: sys.TotalEnergyJ(),
+		Feasible:     true,
+	}
+}
+
 func (r TwoLevelResult) String() string {
 	if !r.Feasible {
 		return "two-level: infeasible"
 	}
 	return fmt.Sprintf("two-level: leak=%.4gW amat=%.4gs energy=%.4gJ", r.LeakageW, r.AMATS, r.TotalEnergyJ)
-}
-
-// OptimizeL2 finds the L2 assignment minimizing combined leakage under an
-// AMAT budget with the L1 pinned to a1; it is OptimizeL2Ctx without
-// cancellation.
-func (t *TwoLevel) OptimizeL2(scheme Scheme, a1 components.Assignment, ops []device.OperatingPoint, amatBudget float64) TwoLevelResult {
-	r, _ := t.OptimizeL2Ctx(context.Background(), scheme, a1, ops, amatBudget)
-	return r
 }
 
 // OptimizeL2Ctx finds the L2 assignment minimizing combined leakage under
@@ -134,46 +143,34 @@ func (t *TwoLevel) OptimizeL2Ctx(ctx context.Context, scheme Scheme, a1 componen
 	if !ok {
 		return TwoLevelResult{Feasible: false}, nil
 	}
-	res, err := OptimizeCtx(ctx, scheme, t.L2, ops, delayBudget)
+	res, err := frontsOver(t.L2Fronts, t.L2, ops).Optimize(ctx, scheme, delayBudget)
 	if err != nil {
 		return TwoLevelResult{Feasible: false}, err
 	}
 	if !res.Feasible {
 		return TwoLevelResult{Feasible: false}, nil
 	}
-	sys := t.System(a1, res.Assignment)
-	return TwoLevelResult{
-		L1Assignment: a1,
-		L2Assignment: res.Assignment,
-		LeakageW:     t.LeakageW(a1, res.Assignment),
-		AMATS:        sys.AMAT(),
-		TotalEnergyJ: sys.TotalEnergyJ(),
-		Feasible:     true,
-	}, nil
+	return t.result(a1, res.Assignment), nil
 }
 
-// OptimizeL2Frontier evaluates OptimizeL2 at each AMAT budget; it is
-// OptimizeL2FrontierCtx without cancellation.
-func (t *TwoLevel) OptimizeL2Frontier(scheme Scheme, a1 components.Assignment, ops []device.OperatingPoint, amatBudgets []float64) []TwoLevelResult {
-	out, _ := t.OptimizeL2FrontierCtx(context.Background(), scheme, a1, ops, amatBudgets)
-	return out
-}
-
-// OptimizeL2FrontierCtx evaluates OptimizeL2Ctx at each AMAT budget, one
-// budget per worker, returning results in budget order — the two-level
-// analogue of Frontier for trade-off curves over the system constraint.
+// OptimizeL2FrontierCtx evaluates OptimizeL2Ctx at each AMAT budget over
+// one set of L2 fronts, one budget per worker, returning results in budget
+// order — the two-level analogue of Fronts.Frontier for trade-off curves
+// over the system constraint.
 func (t *TwoLevel) OptimizeL2FrontierCtx(ctx context.Context, scheme Scheme, a1 components.Assignment, ops []device.OperatingPoint, amatBudgets []float64) ([]TwoLevelResult, error) {
+	tl := t.withFronts(ops)
 	return sweep.MapCtx(ctx, len(amatBudgets), 0, func(ctx context.Context, i int) (TwoLevelResult, error) {
-		return t.OptimizeL2Ctx(ctx, scheme, a1, ops, amatBudgets[i])
+		return tl.OptimizeL2Ctx(ctx, scheme, a1, ops, amatBudgets[i])
 	})
 }
 
-// OptimizeL1 finds the L1 assignment minimizing combined leakage under an
-// AMAT budget with the L2 pinned to a2; it is OptimizeL1Ctx without
-// cancellation.
-func (t *TwoLevel) OptimizeL1(scheme Scheme, a2 components.Assignment, ops []device.OperatingPoint, amatBudget float64) TwoLevelResult {
-	r, _ := t.OptimizeL1Ctx(context.Background(), scheme, a2, ops, amatBudget)
-	return r
+// withFronts returns a copy of t whose fronts cover ops, so repeated
+// optimizations over ops build each level's fronts at most once.
+func (t *TwoLevel) withFronts(ops []device.OperatingPoint) *TwoLevel {
+	c := *t
+	c.L1Fronts = frontsOver(t.L1Fronts, t.L1, ops)
+	c.L2Fronts = frontsOver(t.L2Fronts, t.L2, ops)
+	return &c
 }
 
 // OptimizeL1Ctx finds the L1 assignment minimizing combined leakage under
@@ -184,20 +181,12 @@ func (t *TwoLevel) OptimizeL1Ctx(ctx context.Context, scheme Scheme, a2 componen
 	if !ok {
 		return TwoLevelResult{Feasible: false}, nil
 	}
-	res, err := OptimizeCtx(ctx, scheme, t.L1, ops, delayBudget)
+	res, err := frontsOver(t.L1Fronts, t.L1, ops).Optimize(ctx, scheme, delayBudget)
 	if err != nil {
 		return TwoLevelResult{Feasible: false}, err
 	}
 	if !res.Feasible {
 		return TwoLevelResult{Feasible: false}, nil
 	}
-	sys := t.System(res.Assignment, a2)
-	return TwoLevelResult{
-		L1Assignment: res.Assignment,
-		L2Assignment: a2,
-		LeakageW:     t.LeakageW(res.Assignment, a2),
-		AMATS:        sys.AMAT(),
-		TotalEnergyJ: sys.TotalEnergyJ(),
-		Feasible:     true,
-	}, nil
+	return t.result(res.Assignment, a2), nil
 }

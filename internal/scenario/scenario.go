@@ -195,7 +195,9 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 	if cfg.FastMemory {
 		memSpec = mem.FastDDR()
 	}
-	tl := &opt.TwoLevel{L1: l1d.Model, L2: l2d.Model, M1: m1, M2: m2, Mem: memSpec}
+	// The L2 optimization queries the design's memoized fronts: only the
+	// budget differs between the points that share an L2 organization.
+	tl := &opt.TwoLevel{L1: l1d.Model, L2: l2d.Model, L2Fronts: l2d.Fronts(), M1: m1, M2: m2, Mem: memSpec}
 	if err := tl.Validate(); err != nil {
 		return Result{}, err
 	}
