@@ -4,7 +4,7 @@ GO ?= go
 # top of the file.
 .DEFAULT_GOAL := ci
 
-.PHONY: help ci fmt tidy vet staticcheck lint build test race bench bench-compile bench-snapshot cover golden docs perfbench-check loc
+.PHONY: help ci fmt tidy vet staticcheck lint build test race bench bench-compile bench-snapshot cover golden docs perfbench-check loc examples
 
 # The perf-snapshot file for the current PR and the packages it records.
 # Bump SNAPSHOT per PR (BENCH_7.json, ...) so the repo keeps the
@@ -20,12 +20,13 @@ help: ## list the Makefile verbs and what they do
 # ci is the gate: formatting, module tidiness, vet, staticcheck, the
 # repository's own analyzer suite, build, race-enabled tests, a
 # one-iteration pass over every benchmark as a compile-and-run check,
-# and vet + tests of the nested perfbench module —
+# every example program run end to end, and vet + tests of the nested
+# perfbench module —
 # the same chain .github/workflows/ci.yml runs, so a green `make ci`
 # means a green CI run. (CI's benchmark-regression gate needs a
 # merge-base to diff against and only runs on pull requests; see
 # .github/workflows/ci.yml.)
-ci: fmt tidy vet staticcheck lint build race bench-compile perfbench-check ## the full CI gate (fmt + tidy + vet + staticcheck + repolint + build + race tests + bench compile + perfbench)
+ci: fmt tidy vet staticcheck lint build race bench-compile examples perfbench-check ## the full CI gate (fmt + tidy + vet + staticcheck + repolint + build + race tests + bench compile + examples + perfbench)
 
 # fmt fails listing the files gofmt would rewrite, same as the CI step.
 fmt: ## fail when gofmt would change any file
@@ -73,6 +74,19 @@ race: ## run the test suite under the race detector
 # and it catches benchmarks that bit-rot against API changes.
 bench-compile: ## run every benchmark once as a compile-and-run check
 	$(GO) test -bench=. -benchtime=1x ./...
+
+# examples runs every example program from the repository root (their
+# relative paths, e.g. examples/scenarios.json, assume it) and fails on
+# the first non-zero exit; stdout is discarded, errors reach stderr.
+# distsweep.journal goes first: examples/distsweep resumes from that
+# file, so a leftover journal would make the run execute nothing.
+examples: ## run every example program end to end (fails on any non-zero exit)
+	@rm -f distsweep.journal
+	@for d in examples/*/; do \
+		echo "examples: $$d"; \
+		$(GO) run "./$$d" > /dev/null || exit 1; \
+	done
+	@rm -f distsweep.journal
 
 # perfbench-check vets and tests the end-to-end benchmark. perfbench/ is
 # a nested module (`replace repro => ../`), so the root ./... patterns

@@ -28,6 +28,7 @@ import (
 	"repro/internal/sweep"
 	"repro/internal/trace"
 	"repro/internal/units"
+	"repro/internal/work"
 )
 
 // Shared fixtures, built once outside the timed regions.
@@ -189,7 +190,7 @@ func BenchmarkCacheSim(b *testing.B) {
 	l2s := []int{512 * cachecfg.KB}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.BuildMissMatrix(p, l1s, l2s, 100_000); err != nil {
+		if _, err := sim.BuildMissMatrixCtx(b.Context(), p, l1s, l2s, 100_000); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -198,7 +199,7 @@ func BenchmarkCacheSim(b *testing.B) {
 
 func warmMissMatrix(b *testing.B) {
 	b.Helper()
-	if _, err := fixEnv.MissMatrix(); err != nil {
+	if _, err := fixEnv.MissMatrixCtx(b.Context()); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -220,8 +221,8 @@ func gomaxprocsLevels() []int {
 	return levels
 }
 
-// benchAll measures one cold exp.Env.All() pass: every artifact of the
-// paper regenerated from scratch (workload simulation, characterization,
+// benchAll measures one cold pass over the exp.Experiments registry: every
+// artifact of the paper regenerated from scratch (workload simulation, characterization,
 // model fits, and all optimizations), at a reduced trace length so a single
 // iteration stays in benchmark range.
 func benchAll(b *testing.B, workers int) {
@@ -230,7 +231,7 @@ func benchAll(b *testing.B, workers int) {
 		env := exp.NewQuickEnv()
 		env.Accesses = 100_000
 		env.Workers = workers
-		arts, err := env.All()
+		arts, err := env.RunExperimentsCtx(b.Context(), exp.Experiments())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -264,7 +265,7 @@ func BenchmarkAllParallel(b *testing.B) {
 // BenchmarkSweepThroughput measures the raw engine on a CPU-bound kernel
 // (no shared state), isolating pool overhead and scaling from the physics.
 func BenchmarkSweepThroughput(b *testing.B) {
-	work := func(i int) (float64, error) {
+	kernel := func(_ context.Context, i int) (float64, error) {
 		s := 0.0
 		for j := 0; j < 20_000; j++ {
 			s += float64(i*j) * 1e-9
@@ -276,7 +277,7 @@ func BenchmarkSweepThroughput(b *testing.B) {
 			prev := runtime.GOMAXPROCS(w)
 			defer runtime.GOMAXPROCS(prev)
 			for i := 0; i < b.N; i++ {
-				if _, err := sweep.Map(1024, 0, work); err != nil {
+				if _, err := sweep.MapCtx(b.Context(), 1024, 0, kernel); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -293,7 +294,7 @@ func BenchmarkMissMatrixParallel(b *testing.B) {
 			prev := runtime.GOMAXPROCS(w)
 			defer runtime.GOMAXPROCS(prev)
 			for i := 0; i < b.N; i++ {
-				ms, err := sim.BuildSuiteMatrices(trace.Suites(1), cachecfg.L1Sizes(), cachecfg.L2Sizes(), 50_000)
+				ms, err := sim.BuildSuiteMatricesCtx(b.Context(), trace.Suites(1), cachecfg.L1Sizes(), cachecfg.L2Sizes(), 50_000)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -305,8 +306,8 @@ func BenchmarkMissMatrixParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchScenarios measures the multi-scenario batch runner end to
-// end on the checked-in example batch.
+// BenchmarkBatchScenarios measures the multi-scenario batch end to end
+// through the buffered work driver on the checked-in example batch.
 func BenchmarkBatchScenarios(b *testing.B) {
 	f, err := os.Open("examples/scenarios.json")
 	if err != nil {
@@ -319,7 +320,7 @@ func BenchmarkBatchScenarios(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := scenario.RunBatch(batch, 0); err != nil {
+		if _, err := work.Collect(b.Context(), batch, work.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -375,7 +376,7 @@ func BenchmarkSchemeIIScan(b *testing.B) {
 	budget := lo + 0.5*(hi-lo)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, _ := opt.OptimizeSchemeIICtx(b.Context(), fixL1, fixOps, budget)
+		r, _ := opt.NewFronts(fixL1, fixOps).Optimize(b.Context(), opt.SchemeII, budget)
 		if !r.Feasible {
 			b.Fatal("infeasible")
 		}
@@ -394,7 +395,7 @@ func BenchmarkTupleOptimize(b *testing.B) {
 	target := fixSys.AMATS(mid)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := fixSys.OptimizeTuples(opt.TupleBudget{NTox: 2, NVth: 2}, vths, toxs, target)
+		r, _ := fixSys.OptimizeTuplesCtx(b.Context(), opt.TupleBudget{NTox: 2, NVth: 2}, vths, toxs, target)
 		if !r.Feasible {
 			b.Fatal("infeasible")
 		}
@@ -439,7 +440,7 @@ func BenchmarkExtensions(b *testing.B) {
 	warmMissMatrix(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fixEnv.Extensions(); err != nil {
+		if _, err := fixEnv.ExtensionsCtx(b.Context()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -28,7 +28,7 @@
 //	figures -stream -checkpoint run.journal -resume   # crash-tolerant run
 //	figures -progress       # per-experiment completion ticker on stderr
 //	figures -timeout 30m    # bound the whole run
-//	figures -metrics-addr 127.0.0.1:9090   # /metrics + /debug/pprof while running
+//	figures -stream -metrics-addr 127.0.0.1:9090   # work_* metrics + /debug/pprof while running
 //
 // Every run (except -list) emits a one-line JSON manifest to stderr when
 // it ends — batch hash, item counts, wall time, items/sec, outcome — so a
@@ -80,7 +80,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		resume      = fs.Bool("resume", false, "replay the -checkpoint journal and run only unfinished experiments")
 		progress    = fs.Bool("progress", false, "report per-experiment completion on stderr")
 		timeout     = fs.Duration("timeout", 0, "abort the run after this duration (0 = unbounded)")
-		metricsAddr = fs.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address for the run's duration (e.g. 127.0.0.1:9090; empty = off)")
+		metricsAddr = fs.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address for the run's duration (e.g. 127.0.0.1:9090; empty = off); the work_* metric families need -stream")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2

@@ -415,7 +415,7 @@ func runWorkBatch(ctx context.Context, b work.Batch, o options, fr *grid.Frontie
 			return 1
 		}
 	}
-	out, err := renderBatchDoc(lines, frontierJSON)
+	out, err := scenario.RenderBatchDoc(lines, frontierJSON)
 	if err != nil {
 		runErr = err
 		fmt.Fprintln(stderr, "scenario:", err)
@@ -442,32 +442,4 @@ func refineProgress(w io.Writer) func(phase string, done, total int) {
 		mu.Unlock()
 		p.Hook()(done, total)
 	}
-}
-
-// renderBatchDoc reassembles the driver's NDJSON lines into the buffered
-// {"scenarios": [...]} document, with an optional "frontier" field when a
-// grid run computed one. The result is byte-identical to marshalling a
-// scenario.BatchResult with two-space indentation: MarshalIndent is
-// Marshal followed by Indent, and each driver line is already the compact
-// marshal of its result.
-func renderBatchDoc(lines [][]byte, frontier []byte) (string, error) {
-	var compact bytes.Buffer
-	compact.WriteString(`{"scenarios":[`)
-	for i, line := range lines {
-		if i > 0 {
-			compact.WriteByte(',')
-		}
-		compact.Write(line)
-	}
-	compact.WriteString(`]`)
-	if frontier != nil {
-		compact.WriteString(`,"frontier":`)
-		compact.Write(frontier)
-	}
-	compact.WriteString(`}`)
-	var out bytes.Buffer
-	if err := json.Indent(&out, compact.Bytes(), "", "  "); err != nil {
-		return "", err
-	}
-	return out.String(), nil
 }

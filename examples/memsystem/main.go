@@ -48,7 +48,7 @@ func main() {
 
 	// The same study through the library API: one tuple optimization with
 	// explicit budgets.
-	h, err := core.DesignHierarchy(core.NewTechnology(), 16*cachecfg.KB, 512*cachecfg.KB,
+	h, err := core.DesignHierarchy(context.Background(), core.NewTechnology(), 16*cachecfg.KB, 512*cachecfg.KB,
 		core.HierarchyOptions{Accesses: 300_000})
 	if err != nil {
 		log.Fatal(err)
@@ -57,7 +57,10 @@ func main() {
 	target := h.AMAT(mid, mid)
 	fmt.Printf("library API: AMAT budget %.0f ps\n", units.ToPS(target))
 	for _, b := range opt.Figure2Budgets() {
-		r := h.OptimizeTuples(b, nil, nil, target)
+		r, err := h.OptimizeTuples(context.Background(), b, nil, nil, target)
+		if err != nil {
+			log.Fatal(err)
+		}
 		if !r.Feasible {
 			fmt.Printf("  %-14v infeasible\n", b)
 			continue

@@ -11,19 +11,18 @@ import (
 //
 // Rule 1 (everywhere outside cmd, examples, and internal/cli, which owns
 // the process root via signal.NotifyContext): no context.Background() or
-// context.TODO(). The one sanctioned shape is the documented compat
-// wrapper — a function F whose body calls FCtx, the pattern every
-// non-context entry point in the repository follows (sweep.Map ->
-// sweep.MapCtx, scenario.Run -> scenario.RunCtx, ...), kept so examples
-// and simple callers stay simple.
+// context.TODO(). There is no exemption for wrappers: every operation has
+// one entry point, the one that takes a context, so a function F that
+// conjures a root context to call FCtx is a second entry point and is
+// flagged like any other.
 //
 // Rule 2 (the execution-stack packages): an exported function that loops
 // and calls context-aware code must itself take a context.Context —
 // otherwise it is swallowing cancellation for everything beneath it.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
-	Doc: "no context.Background()/TODO() outside cmd and F->FCtx compat " +
-		"wrappers; exported looping functions in the execution stack take ctx",
+	Doc: "no context.Background()/TODO() outside cmd, examples and " +
+		"internal/cli; exported looping functions in the execution stack take ctx",
 	Exempt: []string{"cmd", "examples", "internal/cli"},
 	Run:    runCtxFlow,
 }
@@ -47,18 +46,15 @@ func runCtxFlow(pass *Pass) {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
-				// Background() in package-level var initializers has no
-				// wrapper excuse; scan the declaration as a whole.
+				// Package-level var initializers: scan the declaration as
+				// a whole.
 				if decl != nil {
 					reportRootContexts(pass, decl)
 				}
 				continue
 			}
-			compat := callsNamed(fd.Body, fd.Name.Name+"Ctx")
-			if !compat {
-				reportRootContexts(pass, fd.Body)
-			}
-			if inStack && fd.Name.IsExported() && !compat && !hasContextParam(pass.Info, fd) {
+			reportRootContexts(pass, fd.Body)
+			if inStack && fd.Name.IsExported() && !hasContextParam(pass.Info, fd) {
 				checkLoopingExport(pass, fd)
 			}
 		}
@@ -78,7 +74,7 @@ func reportRootContexts(pass *Pass, n ast.Node) {
 			return true
 		}
 		if name, ok := isPkgSel(pass.Info, sel, "context"); ok && (name == "Background" || name == "TODO") {
-			pass.Reportf(call.Pos(), "context.%s() in library code; thread the caller's ctx (or make this a documented F->FCtx compat wrapper)", name)
+			pass.Reportf(call.Pos(), "context.%s() in library code; thread the caller's ctx", name)
 		}
 		return true
 	})

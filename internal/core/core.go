@@ -14,11 +14,12 @@
 //     (Scheme II), or uniformly (Scheme III);
 //  4. extend to two-level hierarchies and the whole memory system, with
 //     miss rates from the trace-driven simulator; and
-//  5. regenerate every figure and table of the paper's evaluation.
+//  5. regenerate every figure and table of the paper's evaluation (the
+//     experiment harness in internal/exp).
 //
 // The heavy lifting lives in the internal sub-packages (device, circuit,
-// sram, geom, components, fit, charlib, model, trace, sim, mem, amat, opt,
-// exp); this package provides the assembled, documented entry points that
+// sram, geom, components, fit, charlib, model, trace, sim, mem, amat,
+// opt); this package provides the assembled, documented entry points that
 // the examples and command-line tools consume.
 package core
 
@@ -31,7 +32,6 @@ import (
 	"repro/internal/charlib"
 	"repro/internal/components"
 	"repro/internal/device"
-	"repro/internal/exp"
 	"repro/internal/mem"
 	"repro/internal/model"
 	"repro/internal/opt"
@@ -135,15 +135,9 @@ func (d *CacheDesign) Fronts() *opt.Fronts {
 	return d.fronts
 }
 
-// OptimizeLeakage minimizes the cache's total leakage under a delay budget
-// (seconds) with the chosen assignment scheme, searching the paper's fine
-// knob grid against the fitted model.
-func (d *CacheDesign) OptimizeLeakage(scheme opt.Scheme, delayBudget float64) opt.Result {
-	r, _ := d.OptimizeLeakageCtx(context.Background(), scheme, delayBudget)
-	return r
-}
-
-// OptimizeLeakageCtx is OptimizeLeakage with cancellation.
+// OptimizeLeakageCtx minimizes the cache's total leakage under a delay
+// budget (seconds) with the chosen assignment scheme, searching the
+// paper's fine knob grid against the fitted model.
 func (d *CacheDesign) OptimizeLeakageCtx(ctx context.Context, scheme opt.Scheme, delayBudget float64) (opt.Result, error) {
 	return d.Fronts().Optimize(ctx, scheme, delayBudget)
 }
@@ -154,15 +148,9 @@ func (d *CacheDesign) DelayRange() (lo, hi float64) {
 	return d.Fronts().DelayRange()
 }
 
-// TradeoffCurve sweeps n delay budgets across the feasible range and
+// TradeoffCurveCtx sweeps n delay budgets across the feasible range and
 // returns the optimized leakage at each — the scheme's leakage/delay
 // frontier.
-func (d *CacheDesign) TradeoffCurve(scheme opt.Scheme, n int) []opt.Result {
-	out, _ := d.TradeoffCurveCtx(context.Background(), scheme, n)
-	return out
-}
-
-// TradeoffCurveCtx is TradeoffCurve with cancellation.
 func (d *CacheDesign) TradeoffCurveCtx(ctx context.Context, scheme opt.Scheme, n int) ([]opt.Result, error) {
 	lo, hi := d.DelayRange()
 	return d.Fronts().Frontier(ctx, scheme, units.Linspace(lo, hi, n))
@@ -193,7 +181,8 @@ type HierarchyOptions struct {
 
 // DesignHierarchy builds L1 and L2 designs of the given capacities and
 // simulates the three workload suites to obtain their miss rates.
-func DesignHierarchy(tech *device.Technology, l1Size, l2Size int, o HierarchyOptions) (*HierarchyDesign, error) {
+// Cancelling ctx aborts the simulation with ctx's error.
+func DesignHierarchy(ctx context.Context, tech *device.Technology, l1Size, l2Size int, o HierarchyOptions) (*HierarchyDesign, error) {
 	if o.Accesses == 0 {
 		o.Accesses = 1_000_000
 	}
@@ -214,7 +203,7 @@ func DesignHierarchy(tech *device.Technology, l1Size, l2Size int, o HierarchyOpt
 		return nil, fmt.Errorf("core: L2: %w", err)
 	}
 
-	ms, err := sim.BuildSuiteMatrices(trace.Suites(o.Seed), []int{l1Size}, []int{l2Size}, o.Accesses)
+	ms, err := sim.BuildSuiteMatricesCtx(ctx, trace.Suites(o.Seed), []int{l1Size}, []int{l2Size}, o.Accesses)
 	if err != nil {
 		return nil, fmt.Errorf("core: miss rates: %w", err)
 	}
@@ -250,16 +239,14 @@ func (h *HierarchyDesign) TotalEnergy(a1, a2 components.Assignment) float64 {
 
 // OptimizeL2 minimizes combined leakage over L2 assignments under an AMAT
 // budget with L1 pinned (the paper's first two-level experiment).
-func (h *HierarchyDesign) OptimizeL2(scheme opt.Scheme, a1 components.Assignment, amatBudget float64) opt.TwoLevelResult {
-	r, _ := h.twoLevel().OptimizeL2Ctx(context.Background(), scheme, a1, SharedKnobGrid(), amatBudget)
-	return r
+func (h *HierarchyDesign) OptimizeL2(ctx context.Context, scheme opt.Scheme, a1 components.Assignment, amatBudget float64) (opt.TwoLevelResult, error) {
+	return h.twoLevel().OptimizeL2Ctx(ctx, scheme, a1, SharedKnobGrid(), amatBudget)
 }
 
 // OptimizeL1 minimizes combined leakage over L1 assignments under an AMAT
 // budget with L2 pinned.
-func (h *HierarchyDesign) OptimizeL1(scheme opt.Scheme, a2 components.Assignment, amatBudget float64) opt.TwoLevelResult {
-	r, _ := h.twoLevel().OptimizeL1Ctx(context.Background(), scheme, a2, SharedKnobGrid(), amatBudget)
-	return r
+func (h *HierarchyDesign) OptimizeL1(ctx context.Context, scheme opt.Scheme, a2 components.Assignment, amatBudget float64) (opt.TwoLevelResult, error) {
+	return h.twoLevel().OptimizeL1Ctx(ctx, scheme, a2, SharedKnobGrid(), amatBudget)
 }
 
 // MemorySystem returns the whole-system view used by the tuple-budget
@@ -271,20 +258,12 @@ func (h *HierarchyDesign) MemorySystem() *opt.MemorySystem {
 // OptimizeTuples finds the best (#Tox, #Vth) value sets and assignment under
 // an AMAT budget, minimizing total energy. Candidates default to the paper's
 // coarse menus when nil.
-func (h *HierarchyDesign) OptimizeTuples(budget opt.TupleBudget, vthCands, toxCands []float64, amatBudget float64) opt.TupleResult {
+func (h *HierarchyDesign) OptimizeTuples(ctx context.Context, budget opt.TupleBudget, vthCands, toxCands []float64, amatBudget float64) (opt.TupleResult, error) {
 	if vthCands == nil {
 		vthCands = units.GridSteps(0.20, 0.50, 0.05)
 	}
 	if toxCands == nil {
 		toxCands = units.GridSteps(10, 14, 1)
 	}
-	return h.MemorySystem().OptimizeTuples(budget, vthCands, toxCands, amatBudget)
+	return h.MemorySystem().OptimizeTuplesCtx(ctx, budget, vthCands, toxCands, amatBudget)
 }
-
-// Experiments returns a fully configured experiment harness for
-// regenerating the paper's figures and tables at production scale.
-func Experiments() *exp.Env { return exp.NewEnv() }
-
-// QuickExperiments returns the harness with shorter simulations (tests,
-// demos).
-func QuickExperiments() *exp.Env { return exp.NewQuickEnv() }

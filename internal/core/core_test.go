@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -25,7 +26,7 @@ func setup(t *testing.T) (*CacheDesign, *HierarchyDesign) {
 			t.Fatal(err)
 		}
 		design = d
-		h, err := DesignHierarchy(tech, 16*cachecfg.KB, 512*cachecfg.KB,
+		h, err := DesignHierarchy(context.Background(), tech, 16*cachecfg.KB, 512*cachecfg.KB,
 			HierarchyOptions{Accesses: 200_000})
 		if err != nil {
 			t.Fatal(err)
@@ -61,7 +62,10 @@ func TestOptimizeLeakageAllSchemes(t *testing.T) {
 	budget := lo + 0.5*(hi-lo)
 	var prev float64
 	for _, s := range []opt.Scheme{opt.SchemeIII, opt.SchemeII, opt.SchemeI} {
-		r := d.OptimizeLeakage(s, budget)
+		r, err := d.OptimizeLeakageCtx(context.Background(), s, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !r.Feasible {
 			t.Fatalf("%v infeasible at mid budget", s)
 		}
@@ -74,7 +78,10 @@ func TestOptimizeLeakageAllSchemes(t *testing.T) {
 
 func TestTradeoffCurve(t *testing.T) {
 	d, _ := setup(t)
-	curve := d.TradeoffCurve(opt.SchemeII, 6)
+	curve, err := d.TradeoffCurveCtx(context.Background(), opt.SchemeII, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(curve) != 6 {
 		t.Fatalf("curve size %d", len(curve))
 	}
@@ -110,7 +117,10 @@ func TestHierarchyOptimizeL2(t *testing.T) {
 	_, h := setup(t)
 	a1 := components.Uniform(opt.DefaultOP())
 	target := h.AMAT(a1, components.Uniform(OP(0.40, 13)))
-	r := h.OptimizeL2(opt.SchemeII, a1, target)
+	r, err := h.OptimizeL2(context.Background(), opt.SchemeII, a1, target)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !r.Feasible {
 		t.Fatal("L2 optimization infeasible")
 	}
@@ -123,7 +133,10 @@ func TestHierarchyOptimizeTuples(t *testing.T) {
 	_, h := setup(t)
 	a := components.Uniform(OP(0.35, 12))
 	target := h.AMAT(a, a)
-	r := h.OptimizeTuples(opt.TupleBudget{NTox: 2, NVth: 2}, nil, nil, target)
+	r, err := h.OptimizeTuples(context.Background(), opt.TupleBudget{NTox: 2, NVth: 2}, nil, nil, target)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !r.Feasible {
 		t.Fatal("tuple optimization infeasible")
 	}
@@ -132,14 +145,5 @@ func TestHierarchyOptimizeTuples(t *testing.T) {
 	}
 	if got := r.Assignment.DistinctToxs(); got > 2 {
 		t.Errorf("used %d Tox values", got)
-	}
-}
-
-func TestExperimentHandlesExist(t *testing.T) {
-	if Experiments() == nil || QuickExperiments() == nil {
-		t.Fatal("experiment constructors returned nil")
-	}
-	if Experiments().Accesses <= QuickExperiments().Accesses {
-		t.Error("production env should simulate more accesses than quick env")
 	}
 }

@@ -217,7 +217,7 @@ func TestScenarioDistributedMatchesSequential(t *testing.T) {
 
 	// Sequential reference: one worker, the plain streaming pipeline.
 	var want bytes.Buffer
-	if err := scenario.StreamNDJSON(t.Context(), b, scenario.StreamOptions{Workers: 1}, &want); err != nil {
+	if err := work.Run(t.Context(), b, work.Options{Workers: 1}, &want); err != nil {
 		t.Fatal(err)
 	}
 

@@ -69,8 +69,8 @@ func tabExp(id string, f func(*Env, context.Context) (Table, error)) Experiment 
 }
 
 // Experiments is the registry of the paper's evaluation in the paper's
-// order. All() runs the whole list; cmd/figures uses it to list artifact
-// IDs and to run a single artifact without paying for the rest.
+// order. cmd/figures uses it to list artifact IDs and to run a single
+// artifact without paying for the rest; NewBatch resolves IDs against it.
 func Experiments() []Experiment {
 	return []Experiment{
 		figExp("fig1", (*Env).Fig1),
@@ -88,32 +88,19 @@ func Experiments() []Experiment {
 	}
 }
 
-// All runs every experiment in the paper's order and returns the artifacts;
-// it is AllCtx without cancellation.
-func (e *Env) All() ([]Artifact, error) {
-	return e.AllCtx(context.Background())
-}
-
-// AllCtx runs every experiment in the paper's order and returns the
-// artifacts. Experiments fan out across e.Workers workers (the shared
-// substrates are singleflight-memoized, so each model and miss matrix is
-// still built once); artifacts are collected in registry order, so the
-// output is byte-identical to a sequential run. An error in any experiment
-// aborts the run: partial evaluations are worse than loud failures in a
-// reproduction. Cancelling ctx stops scheduling experiments and aborts the
-// sweeps inside running ones.
-func (e *Env) AllCtx(ctx context.Context) ([]Artifact, error) {
-	return e.RunExperimentsCtx(ctx, Experiments())
-}
-
-// RunExperiments runs a subset of the registry, preserving input order; it
-// is RunExperimentsCtx without cancellation.
-func (e *Env) RunExperiments(exps []Experiment) ([]Artifact, error) {
-	return e.RunExperimentsCtx(context.Background(), exps)
-}
-
-// RunExperimentsCtx runs a subset of the registry, preserving input order
-// and reporting completions to e.Progress.
+// RunExperimentsCtx runs a subset of the registry and returns the
+// artifacts, reporting completions to e.Progress. Experiments fan out
+// across e.Workers workers (the shared substrates are singleflight-memoized,
+// so each model and miss matrix is still built once); artifacts are
+// collected in input order, so the output is byte-identical to a
+// sequential run. An error in any experiment aborts the run: partial
+// evaluations are worse than loud failures in a reproduction. Cancelling
+// ctx stops scheduling experiments and aborts the sweeps inside running
+// ones.
+//
+// It returns typed artifacts, which `figures -plot` needs; streamed,
+// checkpointed and distributed runs go through NewBatch and the work
+// driver instead, whose Lines carry only the rendered forms.
 func (e *Env) RunExperimentsCtx(ctx context.Context, exps []Experiment) ([]Artifact, error) {
 	var done atomic.Int64
 	return sweep.MapCtx(ctx, len(exps), e.workers(), func(ctx context.Context, i int) (Artifact, error) {
@@ -123,25 +110,6 @@ func (e *Env) RunExperimentsCtx(ctx context.Context, exps []Experiment) ([]Artif
 		}
 		if e.Progress != nil {
 			e.Progress(int(done.Add(1)), len(exps))
-		}
-		return a, nil
-	})
-}
-
-// StreamExperiments runs a subset of the registry and delivers artifacts
-// over the returned channel in registry order as they complete, with
-// bounded buffering — the streaming complement to RunExperimentsCtx for
-// emitting results before the whole evaluation finishes. Drain the channel,
-// then call wait for the verdict. Progress (e.Progress) is reported once
-// per emitted artifact, serialized.
-func (e *Env) StreamExperiments(ctx context.Context, exps []Experiment) (<-chan Artifact, func() error) {
-	return sweep.Stream(ctx, len(exps), sweep.StreamConfig{
-		Workers:  e.workers(),
-		Progress: e.Progress,
-	}, func(ctx context.Context, i int) (Artifact, error) {
-		a, err := exps[i].Run(ctx, e)
-		if err != nil {
-			return Artifact{}, fmt.Errorf("exp: %s: %w", exps[i].ID, err)
 		}
 		return a, nil
 	})

@@ -50,16 +50,18 @@ type Env struct {
 	// before the first matrix is built; the memoized matrices do not
 	// rebuild on later changes.
 	Fidelity string
-	// Workers bounds the top-level experiment fan-out of All: 0 uses
-	// GOMAXPROCS, 1 runs the experiments one at a time. Sweeps inside an
-	// experiment (simulation, grid scans) still size themselves from
+	// Workers bounds the top-level experiment fan-out of
+	// RunExperimentsCtx and the row sweeps of the multi-row tables: 0
+	// uses GOMAXPROCS, 1 runs them one at a time. Other sweeps inside an
+	// experiment (simulation, tuple searches) still size themselves from
 	// GOMAXPROCS — cap that instead to bound total parallelism. Output is
 	// identical at any setting.
 	Workers int
 	// Progress, when non-nil, observes top-level experiment completion:
-	// it is called once per finished experiment with (done, total). Calls
-	// may arrive concurrently from worker goroutines during
-	// RunExperimentsCtx; StreamExperiments serializes them.
+	// it is called once per finished experiment of RunExperimentsCtx with
+	// (done, total). Calls may arrive concurrently from worker goroutines.
+	// Runs through the work driver report progress through
+	// work.Options.Progress instead.
 	Progress sweep.Progress
 
 	caches   sweep.Memo[string, *components.Cache]
@@ -114,15 +116,10 @@ func (e *Env) Model(cfg cachecfg.Config) (*model.CacheModel, error) {
 	})
 }
 
-// SuiteMatrices returns the per-workload miss matrices over the canonical
-// L1/L2 design spaces, simulating on first use.
-func (e *Env) SuiteMatrices() ([]*sim.MissMatrix, error) {
-	return e.SuiteMatricesCtx(context.Background())
-}
-
-// SuiteMatricesCtx is SuiteMatrices with cancellation: a cancelled build
-// aborts mid-simulation and is not cached, so a later uncancelled caller
-// rebuilds.
+// SuiteMatricesCtx returns the per-workload miss matrices over the
+// canonical L1/L2 design spaces, simulating on first use. A cancelled
+// build aborts mid-simulation and is not cached, so a later uncancelled
+// caller rebuilds.
 func (e *Env) SuiteMatricesCtx(ctx context.Context) ([]*sim.MissMatrix, error) {
 	return e.matrices.Do(struct{}{}, func() ([]*sim.MissMatrix, error) {
 		build := sim.BuildSuiteMatricesCtx
@@ -133,13 +130,8 @@ func (e *Env) SuiteMatricesCtx(ctx context.Context) ([]*sim.MissMatrix, error) {
 	})
 }
 
-// MissMatrix returns the equal-weight average of the suite matrices — the
-// aggregate statistics the paper's Section 5 experiments consume.
-func (e *Env) MissMatrix() (*sim.MissMatrix, error) {
-	return e.MissMatrixCtx(context.Background())
-}
-
-// MissMatrixCtx is MissMatrix with cancellation.
+// MissMatrixCtx returns the equal-weight average of the suite matrices —
+// the aggregate statistics the paper's Section 5 experiments consume.
 func (e *Env) MissMatrixCtx(ctx context.Context) (*sim.MissMatrix, error) {
 	return e.average.Do(struct{}{}, func() (*sim.MissMatrix, error) {
 		ms, err := e.SuiteMatricesCtx(ctx)

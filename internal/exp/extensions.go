@@ -356,12 +356,6 @@ func (e *Env) SystemEnergyPerInstruction(ctx context.Context) (Table, error) {
 	return t, nil
 }
 
-// Extensions runs every extension/ablation experiment; it is
-// ExtensionsCtx without cancellation.
-func (e *Env) Extensions() ([]Artifact, error) {
-	return e.ExtensionsCtx(context.Background())
-}
-
 // ExtensionsCtx runs every extension/ablation experiment in order,
 // checking the context between entries.
 func (e *Env) ExtensionsCtx(ctx context.Context) ([]Artifact, error) {

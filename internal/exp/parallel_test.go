@@ -1,32 +1,29 @@
 package exp
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/work"
 )
 
 // renderAll flattens a full artifact list (ASCII + CSV forms) into one byte
 // stream for whole-run comparison.
 func renderAll(t *testing.T, e *Env) string {
 	t.Helper()
-	arts, err := e.All()
+	arts, err := e.RunExperimentsCtx(t.Context(), Experiments())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(arts) != len(Experiments()) {
 		t.Fatalf("got %d artifacts, want %d", len(arts), len(Experiments()))
 	}
-	var b strings.Builder
-	for _, a := range arts {
-		b.WriteString(a.ID)
-		b.WriteString("\n")
-		b.WriteString(a.Render())
-		b.WriteString(a.CSV())
-	}
-	return b.String()
+	return renderArts(arts)
 }
 
 // tinyEnv returns a fresh environment small enough to rebuild repeatedly:
@@ -55,7 +52,8 @@ func TestAllParallelByteIdentical(t *testing.T) {
 	}
 }
 
-// renderArts flattens an artifact slice the same way renderAll does.
+// renderArts flattens an artifact slice into one byte stream: each
+// artifact's ID line, then its ASCII and CSV forms.
 func renderArts(arts []Artifact) string {
 	var b strings.Builder
 	for _, a := range arts {
@@ -68,25 +66,37 @@ func renderArts(arts []Artifact) string {
 }
 
 // TestStreamExperimentsByteIdentical extends the engine contract to the
-// streaming path: artifacts streamed at several worker counts must arrive
-// in registry order and render byte-identically to a buffered sequential
-// run — streaming changes delivery, never content.
+// streaming path: artifacts streamed through the work driver at several
+// worker counts must arrive in registry order and render byte-identically
+// to a buffered sequential run — streaming changes delivery, never
+// content.
 func TestStreamExperimentsByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("rebuilds cold environments")
 	}
 	seq := renderAll(t, tinyEnv(1))
 	for _, workers := range []int{1, 4} {
-		e := tinyEnv(workers)
-		ch, wait := e.StreamExperiments(context.Background(), Experiments())
-		var arts []Artifact
-		for a := range ch {
-			arts = append(arts, a)
+		var ids []string
+		for _, x := range Experiments() {
+			ids = append(ids, x.ID)
 		}
-		if err := wait(); err != nil {
+		b, err := NewBatch(ids, tinyEnv(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := work.Run(t.Context(), b, work.Options{Workers: workers}, &out); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if got := renderArts(arts); got != seq {
+		var got strings.Builder
+		for _, line := range strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n") {
+			var l Line
+			if err := json.Unmarshal([]byte(line), &l); err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			got.WriteString(l.ID + "\n" + l.ASCII + l.CSV)
+		}
+		if got.String() != seq {
 			t.Fatalf("workers=%d: streamed output differs from buffered sequential run", workers)
 		}
 	}
@@ -99,7 +109,7 @@ func TestRunExperimentsCtxCancel(t *testing.T) {
 	e.Accesses = 100_000
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.AllCtx(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := e.RunExperimentsCtx(ctx, Experiments()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
@@ -160,7 +170,7 @@ func TestRunExperimentsSubset(t *testing.T) {
 			fit = append(fit, x)
 		}
 	}
-	arts, err := e.RunExperiments(fit)
+	arts, err := e.RunExperimentsCtx(t.Context(), fit)
 	if err != nil {
 		t.Fatal(err)
 	}

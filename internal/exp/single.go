@@ -236,7 +236,7 @@ func (e *Env) KnobSensitivity(ctx context.Context) (Table, error) {
 		{"strategy: both free", full},
 	}
 	for _, s := range strategies {
-		r, err := opt.OptimizeSchemeIICtx(ctx, m, s.ops, budget)
+		r, err := opt.NewFronts(m, s.ops).Optimize(ctx, opt.SchemeII, budget)
 		if err != nil {
 			return Table{}, err
 		}

@@ -74,6 +74,9 @@ func TestWorkBatchHashPinsEnvScale(t *testing.T) {
 		return h
 	}
 	full, quick := NewEnv(), NewQuickEnv()
+	if quick.Accesses >= full.Accesses {
+		t.Error("production env should simulate more accesses than quick env")
+	}
 	if hash(full) == hash(quick) {
 		t.Error("different Accesses must hash differently")
 	}

@@ -109,7 +109,7 @@ func TestSchemeOrdering(t *testing.T) {
 	budget := lo + 0.5*(hi-lo)
 
 	r3, _ := OptimizeSchemeIIICtx(t.Context(), l1m, ops, budget)
-	r2, _ := OptimizeSchemeIICtx(t.Context(), l1m, ops, budget)
+	r2, _ := NewFronts(l1m, ops).Optimize(t.Context(), SchemeII, budget)
 	r1, _ := OptimizeSchemeICtx(t.Context(), l1m, ops, budget, 0)
 	if !r3.Feasible || !r2.Feasible || !r1.Feasible {
 		t.Fatalf("all schemes should be feasible at mid budget: %v / %v / %v", r1, r2, r3)
@@ -153,7 +153,7 @@ func TestOptimalAssignmentStructure(t *testing.T) {
 	lo, hi := NewFronts(l1m, ops).DelayRange()
 	for _, frac := range []float64{0.35, 0.5, 0.7} {
 		budget := lo + frac*(hi-lo)
-		r, _ := OptimizeSchemeIICtx(t.Context(), l1m, ops, budget)
+		r, _ := NewFronts(l1m, ops).Optimize(t.Context(), SchemeII, budget)
 		if !r.Feasible {
 			continue
 		}
@@ -245,7 +245,7 @@ func TestInfeasibleBudget(t *testing.T) {
 	ops := midOps()
 	lo, _ := NewFronts(l1m, ops).DelayRange()
 	for _, s := range []Scheme{SchemeI, SchemeII, SchemeIII} {
-		r, _ := OptimizeCtx(t.Context(), s, l1m, ops, lo/10)
+		r, _ := NewFronts(l1m, ops).Optimize(t.Context(), s, lo/10)
 		if r.Feasible {
 			t.Errorf("%v: impossible budget reported feasible", s)
 		}
@@ -282,8 +282,8 @@ func TestDirectAgreesWithModelOrdering(t *testing.T) {
 	ops := coarseOps()
 	lo, hi := NewFronts(l1m, ops).DelayRange()
 	budget := lo + 0.6*(hi-lo)
-	rm, _ := OptimizeSchemeIICtx(t.Context(), l1m, ops, budget)
-	rd, _ := OptimizeSchemeIICtx(t.Context(), dir, ops, budget)
+	rm, _ := NewFronts(l1m, ops).Optimize(t.Context(), SchemeII, budget)
+	rd, _ := NewFronts(dir, ops).Optimize(t.Context(), SchemeII, budget)
 	if !rm.Feasible || !rd.Feasible {
 		t.Fatalf("feasibility mismatch: model=%v direct=%v", rm.Feasible, rd.Feasible)
 	}
@@ -484,7 +484,7 @@ func TestTupleOptimizerRespectsBudget(t *testing.T) {
 	vths, toxs := tupleCands()
 	amatMid := amatMidTarget(ms)
 	for _, b := range Figure2Budgets() {
-		r := ms.OptimizeTuples(b, vths, toxs, amatMid)
+		r, _ := ms.OptimizeTuplesCtx(t.Context(), b, vths, toxs, amatMid)
 		if !r.Feasible {
 			t.Errorf("%v infeasible at mid AMAT", b)
 			continue
@@ -524,7 +524,7 @@ func TestTupleBudgetOrdering(t *testing.T) {
 	vths, toxs := tupleCands()
 	target := amatMidTarget(ms)
 	get := func(b TupleBudget, tgt float64) float64 {
-		r := ms.OptimizeTuples(b, vths, toxs, tgt)
+		r, _ := ms.OptimizeTuplesCtx(t.Context(), b, vths, toxs, tgt)
 		if !r.Feasible {
 			t.Fatalf("%v infeasible at %v", b, tgt)
 		}
@@ -570,7 +570,10 @@ func TestTupleCurveMonotone(t *testing.T) {
 	fast := ms.AMATS(uniformSystem(device.OP(0.20, 10)))
 	slow := ms.AMATS(uniformSystem(device.OP(0.50, 14)))
 	budgets := units.Linspace(fast*1.02, slow, 6)
-	curve := ms.TupleCurve(TupleBudget{2, 2}, vths, toxs, budgets)
+	curve, err := ms.TupleCurveCtx(t.Context(), TupleBudget{2, 2}, vths, toxs, budgets)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(curve) != len(budgets) {
 		t.Fatal("curve length")
 	}
@@ -634,11 +637,11 @@ func TestMemorySystemEvalConsistency(t *testing.T) {
 }
 
 func TestTupleOptimizerAgreesWithDirectObjective(t *testing.T) {
-	// The inlined objective inside OptimizeTuples must match the amat.System
+	// The inlined objective inside OptimizeTuplesCtx must match the amat.System
 	// computation for the winning assignment.
 	ms := systemForTest(t)
 	vths, toxs := tupleCands()
-	r := ms.OptimizeTuples(TupleBudget{2, 2}, vths, toxs, amatMidTarget(ms))
+	r, _ := ms.OptimizeTuplesCtx(t.Context(), TupleBudget{2, 2}, vths, toxs, amatMidTarget(ms))
 	if !r.Feasible {
 		t.Fatal("infeasible")
 	}

@@ -35,13 +35,6 @@ func schemeIII(s staircase, n int, delayBudget float64) Result {
 	return r
 }
 
-// OptimizeSchemeIICtx finds the least-leaky (cell pair, periphery pair)
-// assignment meeting the delay budget, building only the two fronts
-// Scheme II needs.
-func OptimizeSchemeIICtx(ctx context.Context, ev ComponentEvaluator, ops []device.OperatingPoint, delayBudget float64) (Result, error) {
-	return NewFronts(ev, ops).Optimize(ctx, SchemeII, delayBudget)
-}
-
 // schemeII combines the cell front with the periphery-group front. The two
 // groups decompose additively, so for each cell point the best periphery
 // point is the last one within the remaining budget: O(|cell front| *
@@ -190,11 +183,4 @@ func approxEq(a, b float64) bool {
 	}
 	d := math.Abs(a - b)
 	return d <= 1e-12*math.Max(math.Abs(a), math.Abs(b))
-}
-
-// OptimizeCtx dispatches to the scheme-specific optimizer over fresh
-// fronts of ev; callers optimizing one cache at many budgets build the
-// Fronts once and query them instead.
-func OptimizeCtx(ctx context.Context, s Scheme, ev ComponentEvaluator, ops []device.OperatingPoint, delayBudget float64) (Result, error) {
-	return NewFronts(ev, ops).Optimize(ctx, s, delayBudget)
 }

@@ -166,13 +166,6 @@ func (ms *MemorySystem) groupTables(ops []device.OperatingPoint) [GroupCount]gro
 	return out
 }
 
-// OptimizeTuples finds the best tuple-budget assignment; it is
-// OptimizeTuplesCtx without cancellation.
-func (ms *MemorySystem) OptimizeTuples(budget TupleBudget, vthCands, toxCands []float64, amatBudget float64) TupleResult {
-	r, _ := ms.OptimizeTuplesCtx(context.Background(), budget, vthCands, toxCands, amatBudget)
-	return r
-}
-
 // OptimizeTuplesCtx finds, for the given tuple budget, the choice of
 // Vth/Tox value sets and the per-group assignment minimizing total energy
 // under the AMAT budget. Candidates are coarse grids (the fab offers a
@@ -267,13 +260,6 @@ func (ms *MemorySystem) tupleCombo(ctx context.Context, budget TupleBudget, vthC
 		}
 	}
 	return res, nil
-}
-
-// TupleCurve sweeps AMAT budgets for one tuple budget; it is TupleCurveCtx
-// without cancellation.
-func (ms *MemorySystem) TupleCurve(budget TupleBudget, vthCands, toxCands []float64, amatBudgets []float64) []TupleResult {
-	out, _ := ms.TupleCurveCtx(context.Background(), budget, vthCands, toxCands, amatBudgets)
-	return out
 }
 
 // TupleCurveCtx sweeps AMAT budgets for one tuple budget — one Figure 2

@@ -1,17 +1,16 @@
 package scenario
 
 import (
-	"context"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"repro/internal/sweep"
-	"repro/internal/work"
 )
 
 // Batch is the multi-scenario JSON schema: a top-level "scenarios" array of
-// ordinary scenario configs, run concurrently with per-scenario isolation.
+// ordinary scenario configs, run concurrently with per-scenario isolation
+// through the work driver (work.Run streams the result lines, work.Collect
+// buffers them for RenderBatchDoc).
 //
 //	{
 //	  "scenarios": [
@@ -77,103 +76,40 @@ func IsBatch(data []byte) bool {
 	return probe.Scenarios != nil
 }
 
-// BatchResult is the JSON-serializable outcome of a batch run, with results
-// in input order.
-type BatchResult struct {
-	Scenarios []Result `json:"scenarios"`
-}
-
-// Render formats the batch result as JSON.
-func (b BatchResult) Render() (string, error) {
-	out, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(out), nil
-}
-
-// RunBatch executes every scenario of the batch; it is RunBatchCtx without
-// cancellation.
-func RunBatch(b Batch, workers int) (BatchResult, error) {
-	return RunBatchCtx(context.Background(), b, workers)
-}
-
-// RunBatchCtx executes every scenario of the batch across at most workers
-// goroutines (0 = GOMAXPROCS). Each scenario builds its own technology,
-// caches, models and workload simulations — nothing is shared — so
-// scenarios are fully isolated and the result array is deterministic and
-// input-ordered. A failing scenario aborts the batch with its name in the
-// error; cancelling ctx stops scheduling scenarios and aborts the running
-// ones mid-simulation.
-func RunBatchCtx(ctx context.Context, b Batch, workers int) (BatchResult, error) {
-	if err := b.Validate(); err != nil {
-		return BatchResult{}, err
-	}
-	results, err := sweep.MapCtx(ctx, len(b.Scenarios), workers, func(ctx context.Context, i int) (Result, error) {
-		res, err := RunCtx(ctx, b.Scenarios[i])
-		if err != nil {
-			return Result{}, fmt.Errorf("scenario %q: %w", b.Scenarios[i].Name, err)
-		}
-		return res, nil
-	})
-	if err != nil {
-		return BatchResult{}, err
-	}
-	return BatchResult{Scenarios: results}, nil
-}
-
-// StreamOptions tunes StreamBatch.
-type StreamOptions struct {
-	// Workers bounds concurrent scenarios (0 = GOMAXPROCS).
-	Workers int
-	// Progress, when non-nil, is called once per emitted result with
-	// (scenarios done, total), serialized on the emitter.
-	Progress sweep.Progress
-}
-
-// StreamBatch runs the batch and delivers results over the returned
-// channel in input order as each scenario completes, holding at most a
-// worker-pool's worth of results in memory — the streaming complement to
-// RunBatchCtx for batches too large to buffer. Drain the channel, then
-// call wait for the verdict; on success the streamed results are exactly
-// RunBatchCtx's result array. A failing scenario stops the stream with its
-// name in the error; cancellation stops it with ctx's error.
-func StreamBatch(ctx context.Context, b Batch, opts StreamOptions) (results <-chan Result, wait func() error) {
-	if err := b.Validate(); err != nil {
-		ch := make(chan Result)
-		close(ch)
-		return ch, func() error { return err }
-	}
-	return sweep.Stream(ctx, len(b.Scenarios), sweep.StreamConfig{
-		Workers:  opts.Workers,
-		Progress: opts.Progress,
-	}, func(ctx context.Context, i int) (Result, error) {
-		res, err := RunCtx(ctx, b.Scenarios[i])
-		if err != nil {
-			return Result{}, fmt.Errorf("scenario %q: %w", b.Scenarios[i].Name, err)
-		}
-		return res, nil
-	})
-}
-
 // NDJSONLine renders one result as a single compact JSON line (no trailing
 // newline) — the unit of the batch streaming format. The field content is
-// identical to the result's entry in a buffered BatchResult; only the
-// framing (one object per line instead of a "scenarios" array) differs.
+// identical to the result's entry in the buffered document (RenderBatchDoc);
+// only the framing (one object per line instead of a "scenarios" array)
+// differs.
 func (r Result) NDJSONLine() ([]byte, error) {
 	return json.Marshal(r)
 }
 
-// StreamNDJSON streams the batch to w as NDJSON: one result line per
-// scenario, in input order, each written (and flushable by the caller's
-// writer) as soon as the scenario completes. It is the unified driver
-// (work.Run) applied to the batch: on error the stream ends early, lines
-// already written remain valid JSON, and a write error (e.g. a broken
-// pipe) cancels the remaining scenarios instead of computing output nobody
-// reads.
-func StreamNDJSON(ctx context.Context, b Batch, opts StreamOptions, w io.Writer) error {
-	if err := b.Validate(); err != nil {
-		return err
+// RenderBatchDoc reassembles a batch's NDJSON result lines (work.Collect's
+// output, in input order) into the buffered {"scenarios": [...]} document,
+// with an optional "frontier" field when a grid run computed one. The
+// result is two-space indented and byte-identical to marshalling the
+// results as a {"scenarios": [...]} struct with json.MarshalIndent:
+// MarshalIndent is Marshal followed by Indent, and each line is already
+// the compact marshal of its result.
+func RenderBatchDoc(lines [][]byte, frontier []byte) (string, error) {
+	var compact bytes.Buffer
+	compact.WriteString(`{"scenarios":[`)
+	for i, line := range lines {
+		if i > 0 {
+			compact.WriteByte(',')
+		}
+		compact.Write(line)
 	}
-	return work.Run(ctx, b, work.Options{Workers: opts.Workers, Progress: opts.Progress}, w)
+	compact.WriteString(`]`)
+	if frontier != nil {
+		compact.WriteString(`,"frontier":`)
+		compact.Write(frontier)
+	}
+	compact.WriteString(`}`)
+	var out bytes.Buffer
+	if err := json.Indent(&out, compact.Bytes(), "", "  "); err != nil {
+		return "", err
+	}
+	return out.String(), nil
 }

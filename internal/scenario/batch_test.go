@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/work"
 )
 
 var update = flag.Bool("update", false, "regenerate golden files")
@@ -27,21 +29,29 @@ func loadFixture(t *testing.T) Batch {
 	return b
 }
 
+// renderBuffered runs the batch through the buffered work driver and
+// renders the {"scenarios": [...]} document exactly as `scenario -f`
+// prints it (without the trailing newline).
+func renderBuffered(t *testing.T, b Batch, workers int) string {
+	t.Helper()
+	lines, err := work.Collect(t.Context(), b, work.Options{Workers: workers})
+	if err != nil {
+		t.Fatalf("workers=%d: %v", workers, err)
+	}
+	out, err := RenderBatchDoc(lines, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestBatchGolden runs the example batch and compares the rendered JSON
-// against the checked-in golden output. Regenerate with:
+// against the checked-in golden output — the same driver and renderer the
+// scenario CLI's buffered mode uses. Regenerate with:
 //
 //	go test ./internal/scenario -run TestBatchGolden -update
 func TestBatchGolden(t *testing.T) {
-	b := loadFixture(t)
-	res, err := RunBatch(b, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := res.Render()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got += "\n"
+	got := renderBuffered(t, loadFixture(t), 0) + "\n"
 
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
@@ -77,14 +87,7 @@ func TestBatchParallelDeterministic(t *testing.T) {
 	}
 	var first string
 	for _, workers := range []int{1, 2, 4} {
-		res, err := RunBatch(b, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		out, err := res.Render()
-		if err != nil {
-			t.Fatal(err)
-		}
+		out := renderBuffered(t, b, workers)
 		if first == "" {
 			first = out
 			continue
@@ -95,16 +98,19 @@ func TestBatchParallelDeterministic(t *testing.T) {
 	}
 }
 
+// batchValidateCases are batches LoadBatch must reject; FuzzLoadBatch
+// seeds its corpus with them too.
+var batchValidateCases = []struct{ label, js string }{
+	{"empty batch", `{"scenarios":[]}`},
+	{"duplicate name", `{"scenarios":[{"name":"a","l1_kb":16,"l2_kb":512,"workload":"tpcc"},{"name":"a","l1_kb":16,"l2_kb":512,"workload":"tpcc"}]}`},
+	{"bad member", `{"scenarios":[{"name":"a","l1_kb":0,"l2_kb":512,"workload":"tpcc"}]}`},
+	{"unknown field", `{"scenarios":[],"bogus":1}`},
+}
+
 func TestBatchValidate(t *testing.T) {
-	cases := map[string]string{
-		"empty batch":    `{"scenarios":[]}`,
-		"duplicate name": `{"scenarios":[{"name":"a","l1_kb":16,"l2_kb":512,"workload":"tpcc"},{"name":"a","l1_kb":16,"l2_kb":512,"workload":"tpcc"}]}`,
-		"bad member":     `{"scenarios":[{"name":"a","l1_kb":0,"l2_kb":512,"workload":"tpcc"}]}`,
-		"unknown field":  `{"scenarios":[],"bogus":1}`,
-	}
-	for label, js := range cases {
-		if _, err := LoadBatch(strings.NewReader(js)); err == nil {
-			t.Errorf("%s accepted", label)
+	for _, c := range batchValidateCases {
+		if _, err := LoadBatch(strings.NewReader(c.js)); err == nil {
+			t.Errorf("%s accepted", c.label)
 		}
 	}
 }

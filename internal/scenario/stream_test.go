@@ -8,17 +8,19 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/work"
 )
 
 const streamGoldenPath = "testdata/stream.golden.ndjson"
 
-// streamFixture runs the example batch through StreamNDJSON and returns
-// the raw output.
+// streamFixture runs the example batch through the streaming work driver
+// (work.Run) and returns the raw output.
 func streamFixture(t *testing.T, workers int) string {
 	t.Helper()
 	b := loadFixture(t)
 	var buf bytes.Buffer
-	if err := StreamNDJSON(context.Background(), b, StreamOptions{Workers: workers}, &buf); err != nil {
+	if err := work.Run(t.Context(), b, work.Options{Workers: workers}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()
@@ -50,12 +52,14 @@ func TestStreamGolden(t *testing.T) {
 // TestStreamMatchesBatch is the streaming-equivalence contract: with no
 // cancellation, the NDJSON stream carries one line per scenario, in input
 // order, each byte-identical to the compact rendering of the corresponding
-// entry in the buffered BatchResult — streaming changes framing, never
-// content.
+// entry in the buffered {"scenarios": [...]} document — streaming changes
+// framing, never content.
 func TestStreamMatchesBatch(t *testing.T) {
 	b := loadFixture(t)
-	buffered, err := RunBatch(b, 0)
-	if err != nil {
+	var buffered struct {
+		Scenarios []json.RawMessage `json:"scenarios"`
+	}
+	if err := json.Unmarshal([]byte(renderBuffered(t, b, 0)), &buffered); err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
@@ -68,13 +72,13 @@ func TestStreamMatchesBatch(t *testing.T) {
 			if !json.Valid([]byte(line)) {
 				t.Fatalf("workers=%d: line %d is not valid JSON: %q", workers, i, line)
 			}
-			want, err := buffered.Scenarios[i].NDJSONLine()
-			if err != nil {
+			var want bytes.Buffer
+			if err := json.Compact(&want, buffered.Scenarios[i]); err != nil {
 				t.Fatal(err)
 			}
-			if line != string(want) {
+			if line != want.String() {
 				t.Errorf("workers=%d: line %d differs from buffered result\n got: %s\nwant: %s",
-					workers, i, line, want)
+					workers, i, line, want.String())
 			}
 			var probe struct {
 				Name string `json:"name"`
@@ -86,46 +90,33 @@ func TestStreamMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestStreamBatchCancelled checks a cancelled stream ends promptly with
-// context.Canceled and without emitting all results.
+// TestStreamBatchCancelled checks a cancelled batch stream (work.Run)
+// ends promptly with context.Canceled and without emitting all results.
 func TestStreamBatchCancelled(t *testing.T) {
 	b := loadFixture(t)
 	// Enough accesses that cancellation strikes mid-simulation.
 	for i := range b.Scenarios {
 		b.Scenarios[i].Accesses = 5_000_000
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(t.Context())
 	cancel()
-	ch, wait := StreamBatch(ctx, b, StreamOptions{Workers: 2})
-	n := 0
-	for range ch {
-		n++
-	}
-	if err := wait(); !errors.Is(err, context.Canceled) {
+	var buf bytes.Buffer
+	err := work.Run(ctx, b, work.Options{Workers: 2}, &buf)
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	if n == len(b.Scenarios) {
+	if n := strings.Count(buf.String(), "\n"); n == len(b.Scenarios) {
 		t.Fatal("cancelled stream still delivered every scenario")
 	}
 }
 
-// TestRunBatchCtxCancelled checks the buffered path reports cancellation.
+// TestRunBatchCtxCancelled checks the buffered batch path (work.Collect)
+// reports cancellation.
 func TestRunBatchCtxCancelled(t *testing.T) {
 	b := loadFixture(t)
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(t.Context())
 	cancel()
-	if _, err := RunBatchCtx(ctx, b, 2); !errors.Is(err, context.Canceled) {
+	if _, err := work.Collect(ctx, b, work.Options{Workers: 2}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
-	}
-}
-
-// TestStreamBatchInvalid checks validation errors surface through wait.
-func TestStreamBatchInvalid(t *testing.T) {
-	ch, wait := StreamBatch(context.Background(), Batch{}, StreamOptions{})
-	for range ch {
-		t.Fatal("invalid batch emitted a result")
-	}
-	if err := wait(); err == nil || !strings.Contains(err.Error(), "no scenarios") {
-		t.Fatalf("want validation error, got %v", err)
 	}
 }

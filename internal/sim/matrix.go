@@ -46,12 +46,6 @@ type l1PassResult struct {
 	l2Local map[int]float64
 }
 
-// BuildMissMatrix simulates the workload over every L1/L2 size combination.
-// It is BuildMissMatrixCtx without cancellation.
-func BuildMissMatrix(p trace.Params, l1Sizes, l2Sizes []int, n int) (*MissMatrix, error) {
-	return BuildMissMatrixCtx(context.Background(), p, l1Sizes, l2Sizes, n)
-}
-
 // BuildMissMatrixCtx simulates the workload over every L1/L2 size
 // combination. The L1 miss stream for a given L1 size does not depend on
 // the L2, so each L1 pass is run once and its miss stream replayed into
@@ -147,12 +141,6 @@ func l1Pass(ctx context.Context, p trace.Params, l1Size int, l2Sizes []int, n in
 		out.l2Local[l2Size] = l2.Stats.MissRate()
 	}
 	return out, nil
-}
-
-// BuildSuiteMatrices builds matrices for several workloads; it is
-// BuildSuiteMatricesCtx without cancellation.
-func BuildSuiteMatrices(suites []trace.Params, l1Sizes, l2Sizes []int, n int) ([]*MissMatrix, error) {
-	return BuildSuiteMatricesCtx(context.Background(), suites, l1Sizes, l2Sizes, n)
 }
 
 // BuildSuiteMatricesCtx builds matrices for several workloads, one worker
